@@ -89,9 +89,6 @@ class PauliString:
     def letter_on(self, qubit: int) -> str:
         return self.letters[qubit]
 
-    def same_letters(self, other: "PauliString") -> bool:
-        return self.letters == other.letters
-
     def __str__(self) -> str:
         word = " ".join(_DISPLAY[letter] for letter in self.letters)
         return f"{_PHASE_DISPLAY[self.phase]}{word}"

@@ -341,8 +341,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.trials < 1:
         print("error: --trials must be >= 1", file=sys.stderr)
         return EXIT_USAGE
-    if args.tol <= 0:
-        print("error: --tol must be > 0", file=sys.stderr)
+    if not 0 < args.tol < 1:
+        print("error: --tol must be a number in (0, 1)", file=sys.stderr)
         return EXIT_USAGE
     if args.seed is None:
         args.seed = _default_seed()

@@ -32,8 +32,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import PauliString, named_gate, pauli_mul
+from .gadgets import GADGETS
 from .pauliframe import PauliFrame, frame_absorb_right, frame_update, push_through
 from .statevec import (
+    MAX_QUBITS,
     StateVector,
     append_qubit,
     apply_gate,
@@ -355,14 +357,11 @@ class _Builder:
     def measure(self, letters: tuple[str, ...], wires: tuple[Wire, ...]) -> str:
         reg = f"m{self._registers}"
         self._registers += 1
-        family = "x".join(letters) if len(letters) > 1 else letters[0]
-        self.instructions.append(MeasurePauliInstr(letters, wires, reg, family))
-        return reg
-
-    def measure_g(self, wire: Wire) -> str:
-        reg = f"m{self._registers}"
-        self._registers += 1
-        self.instructions.append(MeasureGInstr(wire, reg))
+        if letters == ("G",):
+            self.instructions.append(MeasureGInstr(wires[0], reg))
+        else:
+            family = "x".join(letters) if len(letters) > 1 else letters[0]
+            self.instructions.append(MeasurePauliInstr(letters, wires, reg, family))
         return reg
 
     def note(self, tag: str) -> None:
@@ -391,72 +390,48 @@ def _emit_xprime_meter(b: _Builder, wire: Wire) -> list[str]:
     return [r_j, r_k]
 
 
-def _emit_h(b: _Builder, t: int) -> None:
-    b.enter()
-    b.note("sigma_h")
-    anc = b.prepare()
-    r_j = b.measure(("X",), (anc,))
-    r_k = b.measure(("X", "Xp"), (t, anc))
-    l_regs = _emit_xprime_meter(b, t)
-    b.instructions.append(Retire(t, anc, "Xp", tuple(l_regs)))
-    b.instructions.append(
-        Feedforward(
-            push=("H", (t,)),
-            byproduct=(
-                ByproductTerm("X", t, (r_k,)),
-                ByproductTerm("Xp", t, tuple([r_j] + l_regs)),
-            ),
-        )
-    )
-    b.leave()
+# Source gate -> (GADGETS kind, expansion tag, Clifford pushed through the frame).
+_LOWERINGS = {
+    "h": ("sigma_h", "sigma_h", "H"),
+    "t": ("sigma_t_gmeter", "sigma_t_tail", "H"),
+    "cnot": ("cnot", "cnot", "CNOT"),
+}
 
 
-def _emit_t(b: _Builder, t: int) -> None:
-    """T block: an H transfer, a frame discharge, then the {X, XxX', G} tail.
+def _emit_gadget(b: _Builder, gate: str, targets: tuple[int, ...]) -> None:
+    """Emit the gadget block for `gate`: prepare, meters, retire, feedforward.
 
-    The tail meters implement T.H on their input, so the composite is T; the
-    prior frame's X' component must be cleared first because conjugating it
-    through the block would drag a non-Pauli S factor out of T.
+    A gadget with a pre-gate gets it as its own block, followed by a frame
+    discharge.  For T that block is an H transfer and the tail meters then
+    implement T.H, so the composite is T; the prior frame's X' component must
+    be cleared first because conjugating it through the block would drag a
+    non-Pauli S factor out of T.
     """
+    kind, tag, push = _LOWERINGS[gate]
+    spec = GADGETS[kind]
+    wires: dict[str, Wire] = dict(zip(spec.roles, targets))
     b.enter()
-    _emit_h(b, t)
-    b.instructions.append(Correct(t, "z"))
-    b.note("sigma_t_tail")
-    anc = b.prepare()
-    r_j = b.measure(("X",), (anc,))
-    r_k = b.measure(("X", "Xp"), (t, anc))
-    r_l = b.measure_g(t)
-    b.instructions.append(Retire(t, anc, "G", (r_l,)))
+    if spec.pre is not None:
+        _emit_gadget(b, spec.pre.lower(), (wires["d"],))
+        b.instructions.append(Correct(wires["d"], "z"))
+    b.note(tag)
+    wires["a"] = b.prepare()
+    regs: list[list[str]] = []
+    for letters, roles in spec.meters:
+        on = tuple(wires[role] for role in roles)
+        if letters == ("Xp",):
+            regs.append(_emit_xprime_meter(b, on[0]))
+        else:
+            regs.append([b.measure(letters, on)])
+    promote = None if spec.retired == "a" else wires["a"]
     b.instructions.append(
-        Feedforward(
-            push=("H", (t,)),
-            byproduct=(
-                ByproductTerm("X", t, (r_k,)),
-                ByproductTerm("Xp", t, (r_j, r_l)),
-            ),
-        )
+        Retire(wires[spec.retired], promote, spec.meters[-1][0][0], tuple(regs[-1]))
     )
-    b.leave()
-
-
-def _emit_cnot(b: _Builder, c: int, t: int) -> None:
-    b.enter()
-    b.note("cnot")
-    anc = b.prepare()
-    r_j = b.measure(("X",), (anc,))
-    r_k = b.measure(("X", "Xp"), (t, anc))
-    r_l = b.measure(("X", "Xp"), (anc, c))
-    m_regs = _emit_xprime_meter(b, anc)
-    b.instructions.append(Retire(anc, None, "Xp", tuple(m_regs)))
-    b.instructions.append(
-        Feedforward(
-            push=("CNOT", (c, t)),
-            byproduct=(
-                ByproductTerm("Xp", c, tuple(m_regs + [r_k])),
-                ByproductTerm("X", t, (r_l, r_j)),
-            ),
-        )
+    terms = tuple(
+        ByproductTerm(letter, wires[role], tuple(r for i in indices for r in regs[i]))
+        for letter, role, indices in spec.byproduct
     )
+    b.instructions.append(Feedforward(push=(push, targets), byproduct=terms))
     b.leave()
 
 
@@ -470,26 +445,27 @@ def compile_to_measurements(circuit: Circuit, mode: str = "extended") -> Measure
             raise CompileError("only unitary gate circuits are compilable")
         if op.name not in COMPILABLE_GATES:
             raise CompileError(f"gate {op.name!r} is not in the compilable set")
-        if op.name == "h":
-            _emit_h(b, op.targets[0])
-        elif op.name == "t":
-            _emit_t(b, op.targets[0])
-        elif op.name == "cnot":
-            _emit_cnot(b, *op.targets)
+        if op.name in _LOWERINGS:
+            _emit_gadget(b, op.name, op.targets)
         elif op.name == "ch":
-            control, target = op.targets
             for gate in _CH_GATE_SEQUENCE:
-                if gate == "h":
-                    _emit_h(b, target)
-                elif gate == "t":
-                    _emit_t(b, target)
-                else:
-                    _emit_cnot(b, control, target)
+                _emit_gadget(b, gate, op.targets if gate == "cnot" else op.targets[1:])
         elif op.name in ("x", "xp", "xpp"):
             b.instructions.append(
                 Feedforward(None, (ByproductTerm(_GATE_NAMES[op.name], op.targets[0], ()),))
             )
         # "i": nothing to emit
+    live = peak = circuit.n_qubits
+    for ins in b.instructions:
+        if isinstance(ins, Prepare):
+            live += 1
+            peak = max(peak, live)
+        elif isinstance(ins, Retire):
+            live -= 1
+    if peak > MAX_QUBITS:
+        raise CompileError(
+            f"program needs {peak} live wires, above the simulator ceiling of {MAX_QUBITS}"
+        )
     program = MeasurementProgram(
         circuit.n_qubits, tuple(b.instructions), mode, tuple(b.expansions)
     )
@@ -644,6 +620,10 @@ def check_equivalence(
     """
     if circuit.n_qubits != program.n_logical:
         raise ValueError("circuit and program qubit counts differ")
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, got {trials}")
+    if not 0 < tol < 1:
+        raise ValueError(f"tol must be in (0, 1), got {tol}")
     fidelities = []
     failing = []
     counts: dict[str, dict[str, int]] = {}
@@ -665,7 +645,7 @@ def check_equivalence(
         trials=trials,
         tol=tol,
         fidelities=tuple(fidelities),
-        min_fidelity=min(fidelities) if fidelities else 1.0,
+        min_fidelity=min(fidelities),
         passed=not failing,
         failing_trials=tuple(failing),
         outcome_counts=counts,

@@ -95,13 +95,13 @@ def encode_decode(bits: tuple[int, int], rng: np.random.Generator):
         raise ValueError(f"bits must be a pair of 0/1, got {bits}")
     label = BITS_TO_TACTICS[bits]
     s, alpha = CANONICAL_TACTICS[label]
-    state = dealer_state(s, alpha)
-    outcome_a, state = measure_pauli(state, PauliString.from_letters("X", "I"), rng)
+    encoded = dealer_state(s, alpha)
+    outcome_a, state = measure_pauli(encoded, PauliString.from_letters("X", "I"), rng)
     outcome_b, state = measure_pauli(state, PauliString.from_letters("I", "Xp"), rng)
     decoded = ((1 - outcome_a.eigenvalue) // 2, (1 - outcome_b.eigenvalue) // 2)
     trace = {
         "label": label,
-        "encoded": encoded_states()[label],
+        "encoded": encoded,
         "outcome_a": outcome_a.eigenvalue,
         "outcome_b": outcome_b.eigenvalue,
     }

@@ -8,14 +8,9 @@ the outcomes pin down.  The defining contract, checked throughout the tests:
 
 Outcome eigenvalues o in {+1, -1} enter byproduct exponents through the bit
 map b(o) = (1 - o)/2, so a correction is applied exactly when the outcome
-is -1.  Byproduct laws per gadget (j, k, l, m are the outcomes in order):
-
-    sigma_h        X^b(k) . X'^b(j*l)           target H
-    sigma (xx)     X^b(j*l) . X'^b(k)           target I
-    sigma (xpxp)   X^b(k) . X'^b(j*l)           target I
-    sigma_t        X^b(k) . X'^b(j*l)           target T   (both variants)
-    sigma_g        X'^b(k) . X''^b(j*l)         target G
-    cnot           X'^b(m*k) (x) X^b(l*j)       target CNOT
+is -1.  Each gadget's ancilla prep, meter sequence, byproduct law and target
+unitary are written once, in the GADGETS table; the gadget functions, the
+byproduct laws in predicted_byproduct and the compiler's lowering all read it.
 
 The data wire is consumed (its final meter leaves it in a known eigenstate,
 recorded in ancilla_residue) and the ancilla wire is relabeled into the data
@@ -24,6 +19,7 @@ slot, so callers always see a stable logical index.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -72,59 +68,95 @@ class GadgetResult:
 SIGMA_VARIANTS = ("xx", "xpxp", "hsandwich")
 SIGMA_T_VARIANTS = ("xprime_pair", "g_meter")
 
-_BYPRODUCT_ARITY = {
-    "sigma_h": 3,
-    "sigma_h_swapped": 3,
-    "sigma_xx": 3,
-    "sigma_xpxp": 3,
-    "sigma_hsandwich": 3,
-    "sigma_t": 3,
-    "sigma_g": 3,
-    "cnot": 4,
-}
+
+@dataclass(frozen=True)
+class GadgetSpec:
+    """One measurement gadget, read by the gadget runner and the compiler.
+
+    Wires are named by role: "d" the data wire, "c" a control wire, "a" the
+    fresh ancilla.  A meter is (letters, roles), one letter per role; the
+    letters are Pauli letters or a dense involution named in _DENSE_METERS.
+    A byproduct term (letter, role, indices) applies `letter` on `role` when
+    the XOR of b(o) over the outcomes at `indices` is 1.  The retired wire's
+    last meter leaves it in a known eigenstate; when the retired wire is not
+    the ancilla, the ancilla takes over its logical slot.
+    """
+
+    prep: str  # ancilla state: "0" or "+"
+    pre: str | None  # gate applied to the data wire before the ancilla joins
+    meters: tuple[tuple[tuple[str, ...], str], ...]
+    retired: str
+    byproduct: tuple[tuple[str, str, tuple[int, ...]], ...]
+    target: str
+
+    @property
+    def roles(self) -> str:
+        """The caller's wires in argument order: control first, then data."""
+        return "cd" if any("c" in roles for _letters, roles in self.meters) else "d"
+
+
+_H_METERS = ((("X",), "a"), (("X", "Xp"), "da"), (("Xp",), "d"))
+_H_LAW = (("X", "d", (1,)), ("Xp", "d", (0, 2)))
+
+GADGETS = MappingProxyType({
+    "sigma_h": GadgetSpec("0", None, _H_METERS, "d", _H_LAW, "H"),
+    "sigma_h_swapped": GadgetSpec(
+        "+", None, ((("Xp",), "a"), (("Xp", "X"), "da"), (("X",), "d")), "d",
+        (("Xp", "d", (1,)), ("X", "d", (0, 2))), "H",
+    ),
+    "sigma_xx": GadgetSpec(
+        "+", None, ((("Xp",), "a"), (("X", "X"), "da"), (("Xp",), "d")), "d",
+        (("X", "d", (0, 2)), ("Xp", "d", (1,))), "I",
+    ),
+    "sigma_xpxp": GadgetSpec(
+        "0", None, ((("X",), "a"), (("Xp", "Xp"), "da"), (("X",), "d")), "d", _H_LAW, "I",
+    ),
+    # H gate, then the sigma_h meters (H H = I).
+    "sigma_hsandwich": GadgetSpec("0", "H", _H_METERS, "d", _H_LAW, "I"),
+    "sigma_t": GadgetSpec(
+        "0", None, ((("X",), "a"), (("Xp", "Xp"), "da"), (("TdXT",), "d")), "d", _H_LAW, "T",
+    ),
+    "sigma_t_gmeter": GadgetSpec(
+        "0", "H", ((("X",), "a"), (("X", "Xp"), "da"), (("G",), "d")), "d", _H_LAW, "T",
+    ),
+    "sigma_g": GadgetSpec(
+        "+", None, ((("Xp",), "a"), (("Xp", "Xpp"), "da"), (("Xpp",), "d")), "d",
+        (("Xp", "d", (1,)), ("Xpp", "d", (0, 2))), "G",
+    ),
+    "cnot": GadgetSpec(
+        "0", None,
+        ((("X",), "a"), (("X", "Xp"), "da"), (("X", "Xp"), "ac"), (("Xp",), "a")), "a",
+        (("Xp", "c", (3, 1)), ("X", "d", (2, 0))), "CNOT",
+    ),
+})
+
+GADGET_TARGET_UNITARIES = {kind: spec.target for kind, spec in GADGETS.items()}
+
+_ANCILLA_STATES = {"0": np.array([1, 0], dtype=complex), "+": PLUS}
+_DENSE_METERS = {"G": named_gate("G"), "TdXT": T_CONJUGATED_X}
+
+
+def _byproduct_word(
+    spec: GadgetSpec, eigenvalues: list[int], wires: dict[str, int], n_qubits: int
+) -> PauliString:
+    word = PauliString.identity(n_qubits)
+    for letter, role, indices in spec.byproduct:
+        if sum(bit(eigenvalues[i]) for i in indices) % 2:
+            word = pauli_mul(word, PauliString.single(n_qubits, wires[role], letter))
+    return word
 
 
 def predicted_byproduct(kind: str, outcomes: list[int]) -> PauliString:
     """Closed-form byproduct for a gadget kind given its outcome eigenvalues."""
-    if kind not in _BYPRODUCT_ARITY:
+    if kind not in GADGETS:
         raise ValueError(f"unknown gadget kind {kind!r}")
-    if len(outcomes) != _BYPRODUCT_ARITY[kind]:
-        raise ValueError(
-            f"{kind} takes {_BYPRODUCT_ARITY[kind]} outcomes, got {len(outcomes)}"
-        )
+    spec = GADGETS[kind]
+    if len(outcomes) != len(spec.meters):
+        raise ValueError(f"{kind} takes {len(spec.meters)} outcomes, got {len(outcomes)}")
     for o in outcomes:
         bit(o)
-
-    if kind == "cnot":
-        j, k, l, m = outcomes
-        word = PauliString.identity(2)
-        if bit(m * k):
-            word = pauli_mul(word, PauliString.from_letters("Xp", "I"))
-        if bit(l * j):
-            word = pauli_mul(word, PauliString.from_letters("I", "X"))
-        return word
-
-    j, k, l = outcomes
-    if kind in ("sigma_h", "sigma_xpxp", "sigma_hsandwich", "sigma_t"):
-        first, second = ("X", bit(k)), ("Xp", bit(j * l))
-    elif kind == "sigma_h_swapped":
-        first, second = ("Xp", bit(k)), ("X", bit(j * l))
-    elif kind == "sigma_xx":
-        first, second = ("X", bit(j * l)), ("Xp", bit(k))
-    else:  # sigma_g
-        first, second = ("Xp", bit(k)), ("Xpp", bit(j * l))
-    word = PauliString.identity(1)
-    for letter, expo in (first, second):
-        if expo:
-            word = pauli_mul(word, PauliString.from_letters(letter))
-    return word
-
-
-def _embed_byproduct(word: PauliString, n_qubits: int, wires: list[int]) -> PauliString:
-    letters = ["I"] * n_qubits
-    for wire, letter in zip(wires, word.letters):
-        letters[wire] = letter
-    return PauliString(word.phase, tuple(letters))
+    wires = {role: i for i, role in enumerate(spec.roles)}
+    return _byproduct_word(spec, outcomes, wires, len(wires))
 
 
 def _meter(state, letters, wires, rng, force):
@@ -134,26 +166,43 @@ def _meter(state, letters, wires, rng, force):
     return measure_pauli(state, obs, rng, force=force)
 
 
-def _pop_force(forced, idx):
-    return None if forced is None else forced[idx]
-
-
-def _finish_single_wire(state, target, outcomes, byproduct_kind, raw_eigs):
-    """Remove the consumed data wire, relabel the ancilla into its slot."""
-    rest, _removed = remove_qubit(state, target)
-    # After removal the fresh wire sits at the end; rotate it back to `target`.
-    last = rest.n_qubits - 1
-    order = list(range(target)) + [last] + list(range(target, last))
-    post = permute_qubits(rest, order)
-    word = predicted_byproduct(byproduct_kind, raw_eigs)
-    byproduct = _embed_byproduct(word, rest.n_qubits, [target])
-    residue = format(bit(raw_eigs[-1]), "b")
-    return GadgetResult(tuple(outcomes), byproduct, post, residue)
-
-
 def _check_target(state: StateVector, target: int) -> None:
     if target < 0 or target >= state.n_qubits:
         raise ValueError(f"target {target} out of range for {state.n_qubits} qubits")
+
+
+def _run_gadget(kind, state, targets, rng, forced_outcomes) -> GadgetResult:
+    """Run GADGETS[kind] on the logical wires `targets` (in spec.roles order)."""
+    spec = GADGETS[kind]
+    for t in targets:
+        _check_target(state, t)
+    if forced_outcomes is not None and len(forced_outcomes) != len(spec.meters):
+        raise ValueError(f"{kind} takes exactly {len(spec.meters)} outcomes")
+    forced = forced_outcomes or [None] * len(spec.meters)
+    n = state.n_qubits
+    wires = dict(zip(spec.roles, targets), a=n)
+    work = state
+    if spec.pre is not None:
+        work = apply_gate(work, named_gate(spec.pre), [wires["d"]])
+    work = append_state(work, _ANCILLA_STATES[spec.prep])
+    outcomes = []
+    for (letters, roles), force in zip(spec.meters, forced):
+        on = [wires[role] for role in roles]
+        if letters[0] in _DENSE_METERS:
+            outcome, work = measure_hermitian(work, _DENSE_METERS[letters[0]], on, rng, force=force)
+        else:
+            outcome, work = _meter(work, letters, on, rng, force)
+        outcomes.append(outcome)
+
+    retired = wires[spec.retired]
+    post, _removed = remove_qubit(work, retired)
+    if spec.retired != "a":
+        # After removal the ancilla sits at the end; rotate it into the slot.
+        last = post.n_qubits - 1
+        post = permute_qubits(post, list(range(retired)) + [last] + list(range(retired, last)))
+    eigs = [o.eigenvalue for o in outcomes]
+    byproduct = _byproduct_word(spec, eigs, wires, n)
+    return GadgetResult(tuple(outcomes), byproduct, post, format(bit(eigs[-1]), "b"))
 
 
 def gadget_sigma_h(
@@ -170,25 +219,8 @@ def gadget_sigma_h(
     exchanges the supply and demand meters (X <-> X') throughout, which
     implements the same tactics with the conjugate byproduct law.
     """
-    _check_target(state, target)
-    if forced_outcomes is not None and len(forced_outcomes) != 3:
-        raise ValueError("sigma_h takes exactly 3 outcomes")
-    n = state.n_qubits
-    anc = n
-    if not swapped:
-        work = append_qubit(state, "0")
-        o1, work = _meter(work, ["X"], [anc], rng, _pop_force(forced_outcomes, 0))
-        o2, work = _meter(work, ["X", "Xp"], [target, anc], rng, _pop_force(forced_outcomes, 1))
-        o3, work = _meter(work, ["Xp"], [target], rng, _pop_force(forced_outcomes, 2))
-        kind = "sigma_h"
-    else:
-        work = append_state(state, PLUS)
-        o1, work = _meter(work, ["Xp"], [anc], rng, _pop_force(forced_outcomes, 0))
-        o2, work = _meter(work, ["Xp", "X"], [target, anc], rng, _pop_force(forced_outcomes, 1))
-        o3, work = _meter(work, ["X"], [target], rng, _pop_force(forced_outcomes, 2))
-        kind = "sigma_h_swapped"
-    eigs = [o1.eigenvalue, o2.eigenvalue, o3.eigenvalue]
-    return _finish_single_wire(work, target, [o1, o2, o3], kind, eigs)
+    kind = "sigma_h_swapped" if swapped else "sigma_h"
+    return _run_gadget(kind, state, (target,), rng, forced_outcomes)
 
 
 def gadget_sigma(
@@ -205,31 +237,9 @@ def gadget_sigma(
     X(x)X pair, X' data], "xpxp" measures [X anc, X'(x)X' pair, X data],
     and "hsandwich" prepends an H gate to the plain transfer.
     """
-    _check_target(state, target)
     if variant not in SIGMA_VARIANTS:
         raise ValueError(f"variant must be one of {SIGMA_VARIANTS}, got {variant!r}")
-    if forced_outcomes is not None and len(forced_outcomes) != 3:
-        raise ValueError("sigma takes exactly 3 outcomes")
-    n = state.n_qubits
-    anc = n
-    if variant == "xx":
-        work = append_state(state, PLUS)
-        o1, work = _meter(work, ["Xp"], [anc], rng, _pop_force(forced_outcomes, 0))
-        o2, work = _meter(work, ["X", "X"], [target, anc], rng, _pop_force(forced_outcomes, 1))
-        o3, work = _meter(work, ["Xp"], [target], rng, _pop_force(forced_outcomes, 2))
-    elif variant == "xpxp":
-        work = append_qubit(state, "0")
-        o1, work = _meter(work, ["X"], [anc], rng, _pop_force(forced_outcomes, 0))
-        o2, work = _meter(work, ["Xp", "Xp"], [target, anc], rng, _pop_force(forced_outcomes, 1))
-        o3, work = _meter(work, ["X"], [target], rng, _pop_force(forced_outcomes, 2))
-    else:  # hsandwich: H gate, then the sigma_h meters (H H = I)
-        work = apply_gate(state, named_gate("H"), [target])
-        work = append_qubit(work, "0")
-        o1, work = _meter(work, ["X"], [anc], rng, _pop_force(forced_outcomes, 0))
-        o2, work = _meter(work, ["X", "Xp"], [target, anc], rng, _pop_force(forced_outcomes, 1))
-        o3, work = _meter(work, ["Xp"], [target], rng, _pop_force(forced_outcomes, 2))
-    eigs = [o1.eigenvalue, o2.eigenvalue, o3.eigenvalue]
-    return _finish_single_wire(work, target, [o1, o2, o3], f"sigma_{variant}", eigs)
+    return _run_gadget(f"sigma_{variant}", state, (target,), rng, forced_outcomes)
 
 
 def gadget_sigma_t(
@@ -247,34 +257,10 @@ def gadget_sigma_t(
                    H (X - X'')/sqrt(2) H = G.
     The byproduct is always a pure Pauli; T commutes with X'.
     """
-    _check_target(state, target)
     if variant not in SIGMA_T_VARIANTS:
         raise ValueError(f"variant must be one of {SIGMA_T_VARIANTS}, got {variant!r}")
-    if forced_outcomes is not None and len(forced_outcomes) != 3:
-        raise ValueError("sigma_t takes exactly 3 outcomes")
-    n = state.n_qubits
-    anc = n
-    if variant == "xprime_pair":
-        work = append_qubit(state, "0")
-        o1, work = _meter(work, ["X"], [anc], rng, _pop_force(forced_outcomes, 0))
-        o2, work = _meter(work, ["Xp", "Xp"], [target, anc], rng, _pop_force(forced_outcomes, 1))
-        o3, work = measure_hermitian(
-            work, T_CONJUGATED_X, [target], rng,
-            force=_pop_force(forced_outcomes, 2),
-            label=PauliString.identity(work.n_qubits),
-        )
-    else:
-        work = apply_gate(state, named_gate("H"), [target])
-        work = append_qubit(work, "0")
-        o1, work = _meter(work, ["X"], [anc], rng, _pop_force(forced_outcomes, 0))
-        o2, work = _meter(work, ["X", "Xp"], [target, anc], rng, _pop_force(forced_outcomes, 1))
-        o3, work = measure_hermitian(
-            work, named_gate("G"), [target], rng,
-            force=_pop_force(forced_outcomes, 2),
-            label=PauliString.identity(work.n_qubits),
-        )
-    eigs = [o1.eigenvalue, o2.eigenvalue, o3.eigenvalue]
-    return _finish_single_wire(work, target, [o1, o2, o3], "sigma_t", eigs)
+    kind = "sigma_t" if variant == "xprime_pair" else "sigma_t_gmeter"
+    return _run_gadget(kind, state, (target,), rng, forced_outcomes)
 
 
 def gadget_sigma_g(
@@ -289,17 +275,7 @@ def gadget_sigma_g(
     Sequence: X' on the ancilla (j), X'(x)X'' on (data, ancilla) (k), X''
     on the data wire (l).
     """
-    _check_target(state, target)
-    if forced_outcomes is not None and len(forced_outcomes) != 3:
-        raise ValueError("sigma_g takes exactly 3 outcomes")
-    n = state.n_qubits
-    anc = n
-    work = append_state(state, PLUS)
-    o1, work = _meter(work, ["Xp"], [anc], rng, _pop_force(forced_outcomes, 0))
-    o2, work = _meter(work, ["Xp", "Xpp"], [target, anc], rng, _pop_force(forced_outcomes, 1))
-    o3, work = _meter(work, ["Xpp"], [target], rng, _pop_force(forced_outcomes, 2))
-    eigs = [o1.eigenvalue, o2.eigenvalue, o3.eigenvalue]
-    return _finish_single_wire(work, target, [o1, o2, o3], "sigma_g", eigs)
+    return _run_gadget("sigma_g", state, (target,), rng, forced_outcomes)
 
 
 def gadget_cnot(
@@ -317,24 +293,7 @@ def gadget_cnot(
     """
     if control == target:
         raise ValueError("control and target must differ")
-    _check_target(state, control)
-    _check_target(state, target)
-    if forced_outcomes is not None and len(forced_outcomes) != 4:
-        raise ValueError("cnot takes exactly 4 outcomes")
-    n = state.n_qubits
-    anc = n
-    work = append_qubit(state, "0")
-    o1, work = _meter(work, ["X"], [anc], rng, _pop_force(forced_outcomes, 0))
-    o2, work = _meter(work, ["X", "Xp"], [target, anc], rng, _pop_force(forced_outcomes, 1))
-    o3, work = _meter(work, ["X", "Xp"], [anc, control], rng, _pop_force(forced_outcomes, 2))
-    o4, work = _meter(work, ["Xp"], [anc], rng, _pop_force(forced_outcomes, 3))
-    eigs = [o1.eigenvalue, o2.eigenvalue, o3.eigenvalue, o4.eigenvalue]
-
-    post, _removed = remove_qubit(work, anc)
-    word = predicted_byproduct("cnot", eigs)
-    byproduct = _embed_byproduct(word, n, [control, target])
-    residue = format(bit(o4.eigenvalue), "b")
-    return GadgetResult(tuple([o1, o2, o3, o4]), byproduct, post, residue)
+    return _run_gadget("cnot", state, (control, target), rng, forced_outcomes)
 
 
 def measure_xprime_derived(
@@ -353,11 +312,12 @@ def measure_xprime_derived(
     _check_target(state, target)
     if forced_outcomes is not None and len(forced_outcomes) != 2:
         raise ValueError("derived X' takes exactly 2 outcomes")
+    forced = forced_outcomes or (None, None)
     n = state.n_qubits
     anc = n
     work = append_qubit(state, "0")
-    o1, work = _meter(work, ["X"], [anc], rng, _pop_force(forced_outcomes, 0))
-    o2, work = _meter(work, ["X", "Xp"], [anc, target], rng, _pop_force(forced_outcomes, 1))
+    o1, work = _meter(work, ["X"], [anc], rng, forced[0])
+    o2, work = _meter(work, ["X", "Xp"], [anc, target], rng, forced[1])
     post, _removed = remove_qubit(work, anc)
     reported = MeasurementOutcome(
         o1.eigenvalue * o2.eigenvalue,
@@ -438,14 +398,3 @@ def measure_g_via_hghgh(
     )
     return reported, post
 
-
-GADGET_TARGET_UNITARIES = {
-    "sigma_h": "H",
-    "sigma_h_swapped": "H",
-    "sigma_xx": "I",
-    "sigma_xpxp": "I",
-    "sigma_hsandwich": "I",
-    "sigma_t": "T",
-    "sigma_g": "G",
-    "cnot": "CNOT",
-}

@@ -94,21 +94,25 @@ def apply_gate(state: StateVector, gate: np.ndarray, targets: list[int]) -> Stat
     if gate.shape != (2**k, 2**k):
         raise ValueError(f"gate shape {gate.shape} does not act on {k} qubit(s)")
     assert_unitary(gate)
+    return StateVector(n, _apply_dense(state, gate, targets))
 
-    tensor = state.tensor()
-    # Contract the gate (reshaped to a 2k-leg tensor) onto the target axes;
-    # tensordot leaves the gate's output axes first, then the untouched axes
+
+def _apply_dense(state: StateVector, matrix: np.ndarray, targets: list[int]) -> np.ndarray:
+    """Flat amplitudes of `matrix` acting on the listed qubits of `state`."""
+    k = len(targets)
+    # Contract the matrix (reshaped to a 2k-leg tensor) onto the target axes;
+    # tensordot leaves the matrix's output axes first, then the untouched axes
     # in their original order, so a single transpose restores the layout.
-    gate_tensor = gate.reshape([2] * (2 * k))
-    moved = np.tensordot(gate_tensor, tensor, axes=(list(range(k, 2 * k)), targets))
-    rest = [ax for ax in range(n) if ax not in targets]
-    perm = [0] * n
+    moved = np.tensordot(
+        matrix.reshape([2] * (2 * k)), state.tensor(), axes=(list(range(k, 2 * k)), targets)
+    )
+    rest = [ax for ax in range(state.n_qubits) if ax not in targets]
+    perm = [0] * state.n_qubits
     for i, t in enumerate(targets):
         perm[t] = i
     for i, ax in enumerate(rest):
         perm[ax] = k + i
-    out = np.transpose(moved, axes=perm).reshape(-1)
-    return StateVector(n, out)
+    return np.transpose(moved, axes=perm).reshape(-1)
 
 
 def apply_pauli(state: StateVector, pauli: PauliString) -> StateVector:
@@ -161,16 +165,16 @@ def measure_pauli(
     if not observable.is_hermitian:
         raise ValueError(f"observable phase {observable.phase} is not +/-1; not Hermitian")
 
-    tensor = state.tensor()
-    acted = _pauli_action(tensor, observable).reshape(-1)
+    acted = _pauli_action(state.tensor(), observable).reshape(-1)
+    return _project(state, acted, observable, rng, force)
+
+
+def _project(state, acted, observable, rng, force):
+    """Sample (or force) a branch of the involution whose action is `acted`."""
     plus = (state.amplitudes + acted) / 2.0
     minus = (state.amplitudes - acted) / 2.0
     p_plus = float(np.vdot(plus, plus).real)
     p_minus = float(np.vdot(minus, minus).real)
-    return _resolve_branches(state, observable, plus, minus, p_plus, p_minus, rng, force)
-
-
-def _resolve_branches(state, observable, plus, minus, p_plus, p_minus, rng, force):
     if force is not None:
         if force not in (1, -1):
             raise ValueError(f"forced outcome must be +/-1, got {force}")
@@ -217,25 +221,9 @@ def measure_hermitian(
     if not np.allclose(observable @ observable, np.eye(dim), atol=1e-10):
         raise ValueError("observable is not an involution (eigenvalues must be +/-1)")
 
-    tensor = state.tensor()
-    gate_tensor = observable.reshape([2] * (2 * len(targets)))
-    k = len(targets)
-    moved = np.tensordot(gate_tensor, tensor, axes=(list(range(k, 2 * k)), targets))
-    rest = [ax for ax in range(state.n_qubits) if ax not in targets]
-    perm = [0] * state.n_qubits
-    for i, t in enumerate(targets):
-        perm[t] = i
-    for i, ax in enumerate(rest):
-        perm[ax] = k + i
-    acted = np.transpose(moved, axes=perm).reshape(-1)
-
-    plus = (state.amplitudes + acted) / 2.0
-    minus = (state.amplitudes - acted) / 2.0
-    p_plus = float(np.vdot(plus, plus).real)
-    p_minus = float(np.vdot(minus, minus).real)
     if label is None:
         label = PauliString.identity(state.n_qubits)
-    return _resolve_branches(state, label, plus, minus, p_plus, p_minus, rng, force)
+    return _project(state, _apply_dense(state, observable, targets), label, rng, force)
 
 
 def equal_up_to_global_phase(
