@@ -23,17 +23,6 @@ _LETTER_MATRICES = {
     "Xpp": np.array([[0, -1j], [1j, 0]], dtype=complex),
 }
 
-# Single-qubit products a*b -> (phase, letter), e.g. X * Xp = -i Xpp.
-_MUL_TABLE: dict[tuple[str, str], tuple[complex, str]] = {}
-for _a in PAULI_LETTERS:
-    for _b in PAULI_LETTERS:
-        _m = _LETTER_MATRICES[_a] @ _LETTER_MATRICES[_b]
-        for _c in PAULI_LETTERS:
-            for _ph in (1, -1, 1j, -1j):
-                if np.allclose(_m, _ph * _LETTER_MATRICES[_c], atol=1e-14):
-                    _MUL_TABLE[(_a, _b)] = (_ph, _c)
-del _a, _b, _c, _m, _ph
-
 _PHASES = (1 + 0j, -1 + 0j, 1j, -1j)
 
 _DISPLAY = {"I": "I", "X": "X", "Xp": "X'", "Xpp": "X''"}
@@ -94,6 +83,34 @@ class PauliString:
         return f"{_PHASE_DISPLAY[self.phase]}{word}"
 
 
+# The 4 one-qubit and 16 two-qubit words by dimension, built once for _as_pauli.
+_WORDS = {
+    2**arity: {
+        letters: PauliString(1 + 0j, letters).to_matrix()
+        for letters in _iterproduct(PAULI_LETTERS, repeat=arity)
+    }
+    for arity in (1, 2)
+}
+
+
+def _as_pauli(matrix: np.ndarray) -> tuple[complex, tuple[str, ...]] | None:
+    """Decompose a one- or two-qubit matrix as phase * word, or None when it
+    is not a phase times a Pauli word."""
+    dim = matrix.shape[0]
+    for letters, word in _WORDS[dim].items():
+        coeff = np.trace(word.conj().T @ matrix) / dim
+        if abs(abs(coeff) - 1.0) < 1e-9:
+            return min(_PHASES, key=lambda p: abs(p - coeff)), letters
+    return None
+
+
+# Single-qubit products a*b -> (phase, (letter,)), e.g. X * Xp = -i Xpp.
+_MUL_TABLE = {
+    (a, b): _as_pauli(_LETTER_MATRICES[a] @ _LETTER_MATRICES[b])
+    for a, b in _iterproduct(PAULI_LETTERS, repeat=2)
+}
+
+
 def pauli_mul(a: PauliString, b: PauliString) -> PauliString:
     """Group product a * b with the phase tracked qubit by qubit."""
     if a.n_qubits != b.n_qubits:
@@ -101,11 +118,9 @@ def pauli_mul(a: PauliString, b: PauliString) -> PauliString:
     phase = a.phase * b.phase
     letters = []
     for la, lb in zip(a.letters, b.letters):
-        ph, letter = _MUL_TABLE[(la, lb)]
+        ph, word = _MUL_TABLE[(la, lb)]
         phase *= ph
-        letters.append(letter)
-    # Renormalize float phase drift back onto the exact 4-element group.
-    phase = min(_PHASES, key=lambda p: abs(p - phase))
+        letters += word
     return PauliString(phase, tuple(letters))
 
 
@@ -148,9 +163,6 @@ def assert_unitary(matrix: np.ndarray, tol: float = 1e-10) -> None:
     identity = np.eye(matrix.shape[0])
     if not np.allclose(matrix @ matrix.conj().T, identity, atol=tol):
         raise ValueError("matrix is not unitary within tolerance")
-
-
-_INFINITY = object()
 
 
 @dataclass(frozen=True)
@@ -205,7 +217,16 @@ CANONICAL_TACTICS: dict[str, tuple[Strategy, float]] = {
     "Xpp": (Strategy(1j), np.pi / 2),
 }
 
-_CONJUGATORS = {"H", "G", "CNOT", "CH"}
+
+# gate -> local word -> (phase, image word) of gate . word . gate^dagger;
+# None where the image leaves the Pauli group (CH on most words).
+_CONJUGATION = {
+    name: {
+        letters: _as_pauli(_GATES[name] @ word @ _GATES[name].conj().T)
+        for letters, word in _WORDS[_GATES[name].shape[0]].items()
+    }
+    for name in ("H", "G", "CNOT", "CH")
+}
 
 
 def conjugate_by(pauli: PauliString, clifford: str, targets: list[int] | None = None) -> PauliString:
@@ -215,10 +236,9 @@ def conjugate_by(pauli: PauliString, clifford: str, targets: list[int] | None = 
     the leading qubits).  Raises NonPauliResultError when the result leaves
     the Pauli group, which happens for CH on anything but I/X' controls.
     """
-    if clifford not in _CONJUGATORS:
+    if clifford not in _CONJUGATION:
         raise ValueError(f"unsupported conjugator {clifford!r}")
-    gate = _GATES[clifford]
-    arity = 1 if gate.shape[0] == 2 else 2
+    arity = 1 if _GATES[clifford].shape[0] == 2 else 2
     if targets is None:
         targets = list(range(arity))
     if len(targets) != arity:
@@ -227,23 +247,13 @@ def conjugate_by(pauli: PauliString, clifford: str, targets: list[int] | None = 
         raise ValueError(f"bad targets {targets} for {pauli.n_qubits}-qubit Pauli")
 
     # Conjugation acts only on the support of the gate.
-    local = np.array([[pauli.phase]], dtype=complex)
-    for t in targets:
-        local = np.kron(local, _LETTER_MATRICES[pauli.letters[t]])
-    conjugated = gate @ local @ gate.conj().T
-
-    dim = conjugated.shape[0]
-    for letters in _iterproduct(PAULI_LETTERS, repeat=arity):
-        word = np.array([[1.0]], dtype=complex)
-        for letter in letters:
-            word = np.kron(word, _LETTER_MATRICES[letter])
-        coeff = np.trace(word.conj().T @ conjugated) / dim
-        if abs(abs(coeff) - 1.0) < 1e-9:
-            phase = min(_PHASES, key=lambda p: abs(p - coeff))
-            out = list(pauli.letters)
-            for t, letter in zip(targets, letters):
-                out[t] = letter
-            return PauliString(phase, tuple(out))
-    raise NonPauliResultError(
-        f"conjugating {pauli} by {clifford} on {targets} gives a non-Pauli operator"
-    )
+    image = _CONJUGATION[clifford][tuple(pauli.letters[t] for t in targets)]
+    if image is None:
+        raise NonPauliResultError(
+            f"conjugating {pauli} by {clifford} on {targets} gives a non-Pauli operator"
+        )
+    phase, letters = image
+    out = list(pauli.letters)
+    for t, letter in zip(targets, letters):
+        out[t] = letter
+    return PauliString(pauli.phase * phase, tuple(out))

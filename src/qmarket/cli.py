@@ -29,6 +29,7 @@ from .compiler import (
     trial_seed,
 )
 from .gadgets import (
+    GADGETS,
     gadget_cnot,
     gadget_sigma,
     gadget_sigma_g,
@@ -47,16 +48,17 @@ SEED_ENV_VAR = "QMARKET_SEED"
 
 DEMO_NAMES = ("densecoding", "walk", "gadgets")
 
+# demo name -> (GADGETS kind, runner); target, width and arity come from the table.
 _GADGET_DEMOS = {
-    "sigma_h": ("H", 1, 3, lambda st, rng, forced: gadget_sigma_h(st, 0, rng, forced)),
-    "sigma_h_swapped": ("H", 1, 3, lambda st, rng, forced: gadget_sigma_h(st, 0, rng, forced, swapped=True)),
-    "sigma_xx": ("I", 1, 3, lambda st, rng, forced: gadget_sigma(st, 0, rng, forced, variant="xx")),
-    "sigma_xpxp": ("I", 1, 3, lambda st, rng, forced: gadget_sigma(st, 0, rng, forced, variant="xpxp")),
-    "sigma_hsandwich": ("I", 1, 3, lambda st, rng, forced: gadget_sigma(st, 0, rng, forced, variant="hsandwich")),
-    "sigma_t_xprime": ("T", 1, 3, lambda st, rng, forced: gadget_sigma_t(st, 0, rng, forced, variant="xprime_pair")),
-    "sigma_t_gmeter": ("T", 1, 3, lambda st, rng, forced: gadget_sigma_t(st, 0, rng, forced, variant="g_meter")),
-    "sigma_g": ("G", 1, 3, lambda st, rng, forced: gadget_sigma_g(st, 0, rng, forced)),
-    "cnot": ("CNOT", 2, 4, lambda st, rng, forced: gadget_cnot(st, 0, 1, rng, forced)),
+    "sigma_h": ("sigma_h", lambda st, rng, forced: gadget_sigma_h(st, 0, rng, forced)),
+    "sigma_h_swapped": ("sigma_h_swapped", lambda st, rng, forced: gadget_sigma_h(st, 0, rng, forced, swapped=True)),
+    "sigma_xx": ("sigma_xx", lambda st, rng, forced: gadget_sigma(st, 0, rng, forced, variant="xx")),
+    "sigma_xpxp": ("sigma_xpxp", lambda st, rng, forced: gadget_sigma(st, 0, rng, forced, variant="xpxp")),
+    "sigma_hsandwich": ("sigma_hsandwich", lambda st, rng, forced: gadget_sigma(st, 0, rng, forced, variant="hsandwich")),
+    "sigma_t_xprime": ("sigma_t", lambda st, rng, forced: gadget_sigma_t(st, 0, rng, forced, variant="xprime_pair")),
+    "sigma_t_gmeter": ("sigma_t_gmeter", lambda st, rng, forced: gadget_sigma_t(st, 0, rng, forced, variant="g_meter")),
+    "sigma_g": ("sigma_g", lambda st, rng, forced: gadget_sigma_g(st, 0, rng, forced)),
+    "cnot": ("cnot", lambda st, rng, forced: gadget_cnot(st, 0, 1, rng, forced)),
 }
 
 
@@ -92,6 +94,9 @@ def _read_circuit(path: str):
     except OSError as exc:
         print(f"error: cannot read {path}: {exc}", file=sys.stderr)
         return None, EXIT_IO
+    except UnicodeDecodeError as exc:
+        print(f"error: {path}: {exc}", file=sys.stderr)
+        return None, EXIT_USAGE
     try:
         return parse_circuit(text), EXIT_OK
     except ParseError as exc:
@@ -223,15 +228,17 @@ def _demo_walk(args) -> list[str]:
 def _demo_gadgets(args) -> list[str]:
     forced = args.force_outcomes
     lines = []
-    for name, (target, n_qubits, arity, run) in _GADGET_DEMOS.items():
-        if forced is not None and len(forced) != arity:
+    for name, (kind, run) in _GADGET_DEMOS.items():
+        spec = GADGETS[kind]
+        n_qubits = len(spec.roles)
+        if forced is not None and len(forced) != len(spec.meters):
             continue
         passes = 0
         for t in range(args.trials):
             rng = np.random.default_rng(trial_seed(args.seed, t, 7))
             state = random_state(n_qubits, rng)
             result = run(state, None if forced else rng, forced)
-            reference = apply_gate(state, named_gate(target), list(range(n_qubits)))
+            reference = apply_gate(state, named_gate(spec.target), list(range(n_qubits)))
             reference = apply_pauli(reference, result.byproduct)
             passes += fidelity(result.post_state, reference) >= 1.0 - 1e-10
         lines.append(
@@ -280,14 +287,10 @@ def _parse_forced(text: str) -> list[int]:
     return values
 
 
-def _default_seed() -> int:
-    raw = os.environ.get(SEED_ENV_VAR)
-    if raw is None:
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        return 0
+def _parse_seed(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(f"--seed/${SEED_ENV_VAR} must be a non-negative integer, got {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -298,14 +301,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, trials_default):
-        p.add_argument("--seed", type=int, default=None,
+        # argparse parses a string default only when the flag is absent: the flag wins.
+        p.add_argument("--seed", type=_parse_seed, default=os.environ.get(SEED_ENV_VAR, "0"),
                        help=f"RNG seed (default: ${SEED_ENV_VAR} or 0)")
         p.add_argument("--trials", type=int, default=trials_default)
         p.add_argument("--tol", type=float, default=1e-10)
         p.add_argument("--mode", choices=("extended", "strict"), default="extended")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--force-outcomes", type=_parse_forced, default=None,
-                       dest="force_outcomes", help="testing hook: comma list of +/-1")
 
     run_p = sub.add_parser("run", help="simulate a circuit file directly")
     run_p.add_argument("circuit")
@@ -327,6 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
     demo_p = sub.add_parser("demo", help="run a built-in demonstration")
     demo_p.add_argument("name", help="one of: " + ", ".join(DEMO_NAMES))
     common(demo_p, 1000)
+    demo_p.add_argument("--force-outcomes", type=_parse_forced, default=None,
+                        dest="force_outcomes", help="testing hook: comma list of +/-1")
     demo_p.set_defaults(func=cmd_demo)
     return parser
 
@@ -344,8 +348,6 @@ def main(argv: list[str] | None = None) -> int:
     if not 0 < args.tol < 1:
         print("error: --tol must be a number in (0, 1)", file=sys.stderr)
         return EXIT_USAGE
-    if args.seed is None:
-        args.seed = _default_seed()
     return args.func(args)
 
 

@@ -36,15 +36,11 @@ class PauliFrame:
 
 def frame_update(frame: PauliFrame, byproduct: PauliString) -> PauliFrame:
     """Compose a fresh byproduct onto the frame (byproduct acts after)."""
-    if byproduct.n_qubits != frame.n_qubits:
-        raise ValueError("byproduct and frame sizes differ")
     return PauliFrame(pauli_mul(byproduct, frame.element))
 
 
 def frame_absorb_right(frame: PauliFrame, applied: PauliString) -> PauliFrame:
     """Account for a Pauli physically applied to the state the frame dresses."""
-    if applied.n_qubits != frame.n_qubits:
-        raise ValueError("applied word and frame sizes differ")
     return PauliFrame(pauli_mul(frame.element, applied))
 
 
@@ -54,15 +50,10 @@ def push_through(frame: PauliFrame, gate: str, targets: list[int]) -> PauliFrame
     Supported gates: H, G, CNOT, CH (CH only stays in the Pauli group for
     I/X' controls; anything else raises, since CH is not Clifford).
     """
-    if gate not in ("H", "G", "CNOT", "CH"):
-        raise ValueError(f"unsupported push gate {gate!r}")
     return PauliFrame(conjugate_by(frame.element, gate, targets))
 
 
 _WORD_SYMBOLS = ("H", "X", "Xp", "Xpp", "I")
-
-# H P H for each letter: X <-> X', X'' -> -X''.
-_H_CONJ = {"I": (1, "I"), "X": (1, "Xp"), "Xp": (1, "X"), "Xpp": (-1, "Xpp")}
 
 
 @dataclass(frozen=True)
@@ -89,23 +80,19 @@ def reduce_word(symbols: list[str]) -> ReducedWord:
     for s in symbols:
         if s not in _WORD_SYMBOLS:
             raise ValueError(f"unknown symbol {s!r}")
-    phase: complex = 1 + 0j
-    letter = "I"
+    word = PauliString.from_letters("I")
     h_parity = 0
     for s in symbols:
         if s == "H":
             h_parity ^= 1
             continue
-        # Append letter s on the right of (letter * H^h): commute it left
+        # Append letter s on the right of (word * H^h): commute it left
         # through the pending H's.
-        incoming = s
-        sign = 1
+        incoming = PauliString.from_letters(s)
         if h_parity:
-            sign, incoming = _H_CONJ[s]
-        prod = pauli_mul(PauliString.from_letters(letter), PauliString.from_letters(incoming))
-        phase *= sign * prod.phase
-        letter = prod.letters[0]
-    return ReducedWord(letter, bool(h_parity), phase)
+            incoming = conjugate_by(incoming, "H")
+        word = pauli_mul(word, incoming)
+    return ReducedWord(word.letters[0], bool(h_parity), word.phase)
 
 
 @dataclass(frozen=True)
