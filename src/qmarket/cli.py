@@ -261,6 +261,9 @@ def cmd_demo(args) -> int:
         print(f"error: unknown demo {args.name!r} (choose from {', '.join(DEMO_NAMES)})",
               file=sys.stderr)
         return EXIT_USAGE
+    if args.force_outcomes is not None and args.name != "gadgets":
+        print("error: --force-outcomes applies only to demo gadgets", file=sys.stderr)
+        return EXIT_USAGE
     try:
         if args.name == "densecoding":
             lines = _demo_densecoding(args)
@@ -293,6 +296,16 @@ def _parse_seed(text: str) -> int:
     return int(text)
 
 
+def _parse_tol(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        tol = float("nan")
+    if not 0 < tol < 1:  # false for nan
+        raise argparse.ArgumentTypeError(f"must be a number in (0, 1), got {text!r}")
+    return tol
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qmarket",
@@ -305,9 +318,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=_parse_seed, default=os.environ.get(SEED_ENV_VAR, "0"),
                        help=f"RNG seed (default: ${SEED_ENV_VAR} or 0)")
         p.add_argument("--trials", type=int, default=trials_default)
-        p.add_argument("--tol", type=float, default=1e-10)
-        p.add_argument("--mode", choices=("extended", "strict"), default="extended")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
+
+    def mode(p):
+        p.add_argument("--mode", choices=("extended", "strict"), default="extended")
 
     run_p = sub.add_parser("run", help="simulate a circuit file directly")
     run_p.add_argument("circuit")
@@ -317,11 +331,14 @@ def build_parser() -> argparse.ArgumentParser:
     compile_p = sub.add_parser("compile", help="lower a circuit to a measurement program")
     compile_p.add_argument("circuit")
     common(compile_p, 1)
+    mode(compile_p)
     compile_p.set_defaults(func=cmd_compile)
 
     verify_p = sub.add_parser("verify", help="compile and check equivalence on random inputs")
     verify_p.add_argument("circuit")
     common(verify_p, 200)
+    mode(verify_p)
+    verify_p.add_argument("--tol", type=_parse_tol, default=1e-10)
     verify_p.add_argument("--corrupt", action="store_true",
                           help="testing hook: corrupt the program to exercise failure")
     verify_p.set_defaults(func=cmd_verify)
@@ -330,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     demo_p.add_argument("name", help="one of: " + ", ".join(DEMO_NAMES))
     common(demo_p, 1000)
     demo_p.add_argument("--force-outcomes", type=_parse_forced, default=None,
-                        dest="force_outcomes", help="testing hook: comma list of +/-1")
+                        dest="force_outcomes", help="testing hook for demo gadgets: comma list of +/-1")
     demo_p.set_defaults(func=cmd_demo)
     return parser
 
@@ -344,9 +361,6 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     if args.trials < 1:
         print("error: --trials must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    if not 0 < args.tol < 1:
-        print("error: --tol must be a number in (0, 1)", file=sys.stderr)
         return EXIT_USAGE
     return args.func(args)
 

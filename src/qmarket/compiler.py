@@ -28,24 +28,33 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from itertools import product
 
 import numpy as np
 
-from .algebra import PauliString, named_gate, pauli_mul
+from .algebra import (
+    _CONJUGATION,
+    _MUL_TABLE,
+    PAULI_LETTERS,
+    NonPauliResultError,
+    PauliString,
+    conjugate_by,
+    named_gate,
+)
 from .gadgets import GADGETS
-from .pauliframe import PauliFrame, frame_absorb_right, frame_update, push_through
+from .pauliframe import PauliFrame
 from .statevec import (
     MAX_QUBITS,
+    ZERO_BRANCH,
     StateVector,
-    append_qubit,
+    _apply_matrix,
+    _pauli_action,
     apply_gate,
     apply_pauli,
     fidelity,
-    measure_hermitian,
     measure_pauli,
-    permute_qubits,
+    new_basis_state,
     random_state,
-    remove_qubit,
 )
 
 Wire = int | str  # logical index or ancilla token "aN"
@@ -151,16 +160,31 @@ def simulate_circuit(
     rng: np.random.Generator | None = None,
 ):
     """Direct state-vector simulation; returns (state, measurement outcomes)."""
-    from .statevec import new_basis_state
-
     state = input_state or new_basis_state(circuit.n_qubits, "0" * circuit.n_qubits)
     if state.n_qubits != circuit.n_qubits:
         raise ValueError("input state size does not match circuit")
+    amplitudes, outcomes = _simulate(circuit, state.amplitudes[None], rng)
+    return StateVector(circuit.n_qubits, amplitudes[0]), outcomes
+
+
+def _simulate(circuit: Circuit, stack: np.ndarray, rng: np.random.Generator | None = None):
+    """Run `circuit` on every row of a (B, 2^n) stack of inputs.
+
+    Gates act on all rows through statevec's B-invariant contraction, so a row
+    comes out the same whatever B is.  Measurement and preparation ops sample
+    one outcome stream and need B = 1.  Returns ((B, 2^n) states, outcomes).
+    """
+    n = circuit.n_qubits
+    psi = stack.reshape((stack.shape[0],) + (2,) * n)
     outcomes = []
     for op in circuit.ops:
         if isinstance(op, GateOp):
-            state = apply_gate(state, named_gate(_GATE_NAMES[op.name]), list(op.targets))
-        elif isinstance(op, MeasureOp):
+            psi = _apply_matrix(psi, named_gate(_GATE_NAMES[op.name]), list(op.targets))
+            continue
+        if psi.shape[0] != 1:
+            raise ValueError("only gate ops run on a batch of input states")
+        state = StateVector(n, psi.reshape(-1))
+        if isinstance(op, MeasureOp):
             outcome, state = measure_pauli(state, op.observable, rng)
             outcomes.append(outcome)
         elif isinstance(op, PrepareOp):
@@ -172,7 +196,8 @@ def simulate_circuit(
                 state = apply_gate(state, named_gate("X"), [op.qubit])
         else:
             raise ValueError(f"unknown circuit op {op!r}")
-    return state, outcomes
+        psi = state.tensor()[None]
+    return psi.reshape(stack.shape[0], -1), outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +500,14 @@ def compile_to_measurements(circuit: Circuit, mode: str = "extended") -> Measure
 
 # ---------------------------------------------------------------------------
 # Executor
+#
+# One executor runs a batch of trials of a program at once.  Wire positions,
+# registers and frame pushes depend only on the program, never on outcomes,
+# so `_plan` resolves every wire to a state axis and checks the program once,
+# and `_run` applies each step to a (B, 2, ..., 2) stack of states, one row per
+# trial.  Every step treats the rows independently, with the same arithmetic
+# whatever B is, so a trial's result does not depend on the batch it ran in.
+# `execute` is the batch of one.
 
 
 @dataclass(frozen=True)
@@ -487,76 +520,132 @@ class RunRecord:
     ancilla_residues: tuple[tuple[str, str], ...] = ()
 
 
-_RESIDUE_EIGENVECTORS = {
-    ("Xp", 0): np.array([1, 0], dtype=complex),
-    ("Xp", 1): np.array([0, 1], dtype=complex),
-    ("X", 0): np.array([1, 1], dtype=complex) / np.sqrt(2),
-    ("X", 1): np.array([1, -1], dtype=complex) / np.sqrt(2),
-}
 _g_vals, _g_vecs = np.linalg.eigh(named_gate("G"))
-_RESIDUE_EIGENVECTORS[("G", 0)] = _g_vecs[:, int(np.argmax(_g_vals))]
-_RESIDUE_EIGENVECTORS[("G", 1)] = _g_vecs[:, int(np.argmin(_g_vals))]
+# residue basis -> (2, 2) array whose row b is the eigenvector of eigenvalue (-1)^b
+_RESIDUE_EIGENVECTORS = {
+    "Xp": np.eye(2, dtype=complex),
+    "X": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
+    "G": np.array([_g_vecs[:, int(np.argmax(_g_vals))], _g_vecs[:, int(np.argmin(_g_vals))]]),
+}
+_G = named_gate("G")
+
+# A batch's Pauli frame is a (B, n) array of letter codes, the index into
+# PAULI_LETTERS (code = x + 2z: I=0, X=1, X'=2, X''=3), and a (B,) array of
+# phase exponents e (phase = i^e).  Products and Clifford pushes are lookups
+# into arrays read off algebra's own tables, so there is one Pauli algebra.
+_CODE = {letter: code for code, letter in enumerate(PAULI_LETTERS)}
+_EXPONENT = {1 + 0j: 0, 1j: 1, -1 + 0j: 2, -1j: 3}
+_PHASE = (1 + 0j, 1j, -1 + 0j, -1j)
 
 
-def execute(program: MeasurementProgram, input_state: StateVector, seed: int) -> RunRecord:
-    """Run a measurement program, threading one seeded generator throughout.
+def _code_table(images: dict, arity: int) -> tuple[np.ndarray, np.ndarray]:
+    """(image codes, phase exponents) of a word -> (phase, word) | None table,
+    indexed by the word's flat code (c0 * 4 + c1 for two letters); image code
+    -1 marks a None entry."""
+    codes = np.full((4**arity, arity), -1, dtype=np.intp)
+    exponents = np.zeros(4**arity, dtype=np.intp)
+    for flat, word in enumerate(product(PAULI_LETTERS, repeat=arity)):
+        if images[word] is not None:
+            phase, image = images[word]
+            codes[flat] = [_CODE[letter] for letter in image]
+            exponents[flat] = _EXPONENT[phase]
+    return codes, exponents
 
-    The Pauli frame is carried classically; the RunRecord invariant is that
-    applying the frame to final_state reproduces the source circuit's output
-    up to a global phase.
-    """
-    if input_state.n_qubits != program.n_logical:
-        raise ValueError("input state size does not match program")
-    rng = np.random.default_rng(seed)
-    state = input_state
-    positions: dict[Wire, int] = {i: i for i in range(program.n_logical)}
+
+_MUL_CODES, _MUL_EXPONENTS = _code_table(_MUL_TABLE, 2)
+_PUSH_CODES = {
+    gate: _code_table(words, len(next(iter(words)))) for gate, words in _CONJUGATION.items()
+}
+
+
+def _frame_word(letters: np.ndarray, exponent) -> PauliString:
+    """One row of a batch's frame as a PauliString."""
+    return PauliString(_PHASE[int(exponent) % 4], tuple(PAULI_LETTERS[c] for c in letters))
+
+
+def _multiply(letters, exponents, wire: int, code: int, mask, left: bool) -> None:
+    """Multiply the letter `code` on `wire` into the frame rows where `mask` is
+    set: on the left for a byproduct, which acts after the frame, or on the
+    right for a Pauli applied to the state the frame dresses."""
+    current = letters[:, wire]
+    flat = code * 4 + current if left else current * 4 + code
+    letters[:, wire] = np.where(mask, _MUL_CODES[flat, 0], current)
+    exponents += np.where(mask, _MUL_EXPONENTS[flat], 0)
+
+
+def _push(letters, exponents, gate: str, wires: tuple[int, ...]) -> None:
+    """Conjugate every frame row through `gate` on `wires`: element <- U element U+."""
+    codes, phase_exponents = _PUSH_CODES[gate]
+    flat = letters[:, wires[0]]
+    for wire in wires[1:]:
+        flat = flat * 4 + letters[:, wire]
+    image = codes[flat]
+    leaves = image[:, 0] < 0
+    if leaves.any():
+        row = int(np.argmax(leaves))
+        raise NonPauliResultError(
+            f"conjugating {_frame_word(letters[row], exponents[row])} by {gate} on "
+            f"{list(wires)} gives a non-Pauli operator"
+        )
+    letters[:, list(wires)] = image
+    exponents += phase_exponents[flat]
+
+
+@dataclass(frozen=True)
+class _Plan:
+    steps: tuple[tuple, ...]  # (operation, operands...); state axes count from 1
+    registers: tuple[str, ...]  # register names, in the order first set
+    meters: int  # upper bound on the uniforms one trial draws
+    peak: int  # most wires live at once
+    order: tuple[int, ...]  # final position of each logical wire
+
+
+def _plan(program: MeasurementProgram) -> _Plan:
+    """Resolve every wire of `program` to a state axis and check the program:
+    registers set before use, known gates and letters, and no ancilla left
+    attached at the end."""
+    n = program.n_logical
+    positions: dict[Wire, int] = {i: i for i in range(n)}
     registers: dict[str, int] = {}
-    residues: list[tuple[str, str]] = []
-    frame = PauliFrame.identity(program.n_logical)
+    steps: list[tuple] = []
+    width = peak = n
+    meters = 0
 
-    def reg_values(names) -> int:
-        prod = 1
+    def slots(names) -> tuple[int, ...]:
         for name in names:
             if name not in registers:
                 raise ProgramError(f"register {name!r} referenced before set")
-            prod *= registers[name]
-        return prod
+        return tuple(registers[name] for name in names)
 
     for ins in program.instructions:
         if isinstance(ins, Prepare):
-            state = append_qubit(state, "0")
-            positions[ins.wire] = state.n_qubits - 1
-        elif isinstance(ins, MeasurePauliInstr):
-            obs = PauliString.identity(state.n_qubits)
-            for letter, wire in zip(ins.letters, ins.wires):
-                obs = pauli_mul(obs, PauliString.single(state.n_qubits, positions[wire], letter))
-            outcome, state = measure_pauli(state, obs, rng)
-            registers[ins.register] = outcome.eigenvalue
-        elif isinstance(ins, MeasureGInstr):
-            outcome, state = measure_hermitian(
-                state, named_gate("G"), [positions[ins.wire]], rng
-            )
-            registers[ins.register] = outcome.eigenvalue
+            positions[ins.wire] = width
+            width += 1
+            if width > MAX_QUBITS:
+                raise ValueError(f"qubit count {width} exceeds ceiling {MAX_QUBITS}")
+            peak = max(peak, width)
+            steps.append(("prepare",))
+        elif isinstance(ins, (MeasurePauliInstr, MeasureGInstr)):
+            if isinstance(ins, MeasureGInstr):
+                step = ("measure_g", positions[ins.wire])
+            else:
+                if len(set(ins.wires)) != len(ins.wires) or any(
+                    letter not in _CODE for letter in ins.letters
+                ):
+                    raise ProgramError(f"bad meter {ins.letters} on {ins.wires}")
+                placed = tuple((1 + positions[w], l) for l, w in zip(ins.letters, ins.wires))
+                step = ("measure", placed)
+            meters += 1
+            steps.append(step + (registers.setdefault(ins.register, len(registers)),))
         elif isinstance(ins, Correct):
-            letter = frame.letter_on(ins.wire)
-            has = letter in (("X", "Xpp") if ins.component == "x" else ("Xp", "Xpp"))
-            if has:
-                pauli_name = "X" if ins.component == "x" else "Xp"
-                state = apply_gate(state, named_gate(pauli_name), [positions[ins.wire]])
-                frame = frame_absorb_right(
-                    frame, PauliString.single(program.n_logical, ins.wire, pauli_name)
-                )
+            steps.append(("correct", 1 + positions[ins.wire], ins.wire, ins.component))
         elif isinstance(ins, Retire):
-            eig = reg_values(ins.residue_registers)
-            bit = (1 - eig) // 2
+            residue = slots(ins.residue_registers)
+            if width < 2:
+                raise ValueError("cannot remove the last qubit")
             pos = positions.pop(ins.wire)
-            state, removed = remove_qubit(state, pos)
-            expected = _RESIDUE_EIGENVECTORS[(ins.residue_basis, bit)]
-            if abs(np.vdot(expected, removed)) < 1.0 - 1e-8:
-                raise ProgramError(
-                    f"retired wire {ins.wire} not in the recorded {ins.residue_basis} eigenstate"
-                )
-            residues.append((str(ins.wire), format(bit, "b")))
+            steps.append(("retire", 1 + pos, str(ins.wire), ins.residue_basis, residue))
+            width -= 1
             for wire, p in positions.items():
                 if p > pos:
                     positions[wire] = p - 1
@@ -566,26 +655,158 @@ def execute(program: MeasurementProgram, input_state: StateVector, seed: int) ->
                 positions[ins.wire] = positions.pop(ins.promote)
         elif isinstance(ins, Feedforward):
             if ins.push is not None:
-                frame = push_through(frame, ins.push[0], list(ins.push[1]))
+                gate, wires = ins.push
+                # conjugate_by's own checks reject unknown gates and bad targets.
+                conjugate_by(PauliString.identity(n), gate, list(wires))
+                steps.append(("push", gate, tuple(wires)))
             for term in ins.byproduct:
-                if term.registers:
-                    apply_bit = (1 - reg_values(term.registers)) // 2
-                else:
-                    apply_bit = 1
-                if apply_bit:
-                    frame = frame_update(
-                        frame, PauliString.single(program.n_logical, term.wire, term.letter)
-                    )
+                PauliString.single(n, term.wire, term.letter)  # checks letter and wire
+                steps.append(("byproduct", _CODE[term.letter], term.wire, slots(term.registers)))
         else:
             raise ProgramError(f"unknown instruction {ins!r}")
-
-    if state.n_qubits != program.n_logical:
+    if width != n:
         raise ProgramError("program finished with ancillas still attached")
+    order = tuple(positions[i] for i in range(n))
+    return _Plan(tuple(steps), tuple(registers), meters, peak, order)
+
+
+def _run(plan: _Plan, stack: np.ndarray, seeds: list[int]):
+    """Run a planned program on a (B, 2^n) stack of inputs, row b drawing its
+    outcomes from default_rng(seeds[b]).
+
+    Returns the final states in logical wire order (B, 2^n), the frame letters
+    (B, n) and phase exponents (B,; not reduced mod 4), one (B,) bool array of
+    outcome bits (True for -1) per register, and one (wire, (B,) bits) entry
+    per retire.
+    """
+    batch, n = stack.shape[0], len(plan.order)
+    psi = stack.reshape((batch,) + (2,) * n)
+    # One uniform per meter and trial, the values `random()` would return one
+    # at a time; a row's cursor moves only when its branch is stochastic.
+    uniforms = np.array([np.random.default_rng(s).random(plan.meters) for s in seeds])
+    cursor = np.zeros(batch, dtype=np.intp)
+    rows = np.arange(batch)
+    bits: list = [None] * len(plan.registers)
+    letters = np.zeros((batch, n), dtype=np.intp)
+    exponents = np.zeros(batch, dtype=np.intp)
+    residues = []
+
+    def parity(registers) -> np.ndarray:
+        out = np.zeros(batch, dtype=bool)
+        for slot in registers:
+            out ^= bits[slot]
+        return out
+
+    for step in plan.steps:
+        kind = step[0]
+        if kind == "prepare":
+            grown = np.zeros(psi.shape + (2,), dtype=complex)
+            grown[..., 0] = psi
+            psi = grown
+        elif kind == "measure" or kind == "measure_g":
+            if kind == "measure":
+                acted = _pauli_action(psi, step[1])
+            else:
+                acted = _apply_matrix(psi, _G, [step[1]])
+            flat, acted = psi.reshape(batch, -1), acted.reshape(batch, -1)
+            plus, minus = (flat + acted) / 2.0, (flat - acted) / 2.0
+            p_plus, p_minus = _row_weights(plus), _row_weights(minus)
+            zero_plus = p_plus < ZERO_BRANCH
+            zero_minus = p_minus < ZERO_BRANCH
+            is_plus = ~zero_plus & (zero_minus | (uniforms[rows, cursor] < p_plus))
+            cursor += ~(zero_plus | zero_minus)
+            prob = np.where(is_plus, p_plus, p_minus)
+            branch = np.where(is_plus[:, None], plus, minus) / np.sqrt(prob)[:, None]
+            psi = branch.reshape(psi.shape)
+            bits[step[2]] = ~is_plus
+        elif kind == "correct":
+            _, axis, wire, component = step
+            bit, letter = (1, "X") if component == "x" else (2, "Xp")
+            mask = (letters[:, wire] & bit) != 0
+            if mask.any():
+                flipped = _pauli_action(psi, [(axis, letter)])
+                psi = np.where(mask.reshape((batch,) + (1,) * (psi.ndim - 1)), flipped, psi)
+                _multiply(letters, exponents, wire, _CODE[letter], mask, left=False)
+        elif kind == "retire":
+            _, axis, wire, basis, registers = step
+            bit = parity(registers)
+            psi = _retire(psi, axis, _RESIDUE_EIGENVECTORS[basis][bit.astype(np.intp)], wire, basis)
+            residues.append((wire, bit))
+        elif kind == "push":
+            _push(letters, exponents, step[1], step[2])
+        else:  # byproduct
+            _, code, wire, registers = step
+            mask = parity(registers) if registers else np.ones(batch, dtype=bool)
+            _multiply(letters, exponents, wire, code, mask, left=True)
+
     # Promotions can leave the physical wire order permuted; restore logical order.
-    order = [positions[i] for i in range(program.n_logical)]
-    if order != list(range(program.n_logical)):
-        state = permute_qubits(state, order)
-    return RunRecord(state, frame, registers, seed, tuple(residues))
+    psi = np.transpose(psi, (0,) + tuple(1 + p for p in plan.order))
+    return psi.reshape(batch, -1), letters, exponents, bits, residues
+
+
+def _row_weights(rows: np.ndarray) -> np.ndarray:
+    """Squared norm of each row of a (B, N) complex array whose last axis is
+    contiguous.
+
+    The reduction then runs along that axis, summing each row by itself in
+    the same order, so a row's weight does not depend on how many rows share
+    the array (a BLAS dot product, as in `statevec`, gives no such promise).
+    """
+    return np.square(rows.view(np.float64)).sum(axis=1)
+
+
+def _retire(psi, axis: int, eigenvectors, wire: str, basis: str) -> np.ndarray:
+    """Drop the wire on `axis` of every row, contracting it with that row's
+    recorded residue eigenvector e, once the wire is shown to hold e and to be
+    unentangled with the rest."""
+    batch = psi.shape[0]
+    pair = np.ascontiguousarray(np.moveaxis(psi, axis, 1)).reshape(batch, 2, -1)
+    m0, m1 = pair[:, 0], pair[:, 1]
+    # The wire's reduced density matrix rho = M M+, M the 2 x rest matrix of a row.
+    r00, r11 = _row_weights(m0), _row_weights(m1)
+    r01 = (m0 * m1.conj()).sum(axis=1)
+    split = np.sqrt((r00 - r11) ** 2 + 4 * (r01.real**2 + r01.imag**2))
+    low = (r00 + r11 - split) / 2  # second eigenvalue: the weight of entanglement
+    if (low > 1e-12).any():
+        row = int(np.argmax(low))
+        raise ProgramError(
+            f"retired wire {wire} is entangled with the rest (residual weight {low[row]:.2e})"
+        )
+    e0, e1 = eigenvectors[:, 0], eigenvectors[:, 1]
+    held = (abs(e0) ** 2 * r00 + abs(e1) ** 2 * r11 + 2 * (e0.conj() * e1 * r01).real)
+    # <e|rho|e> = high |<e|u0>|^2 + low |<e|u1>|^2, u0 the top eigenvector, so
+    # |<e|u0>| is the overlap the removed wire has with e.
+    overlap = np.sqrt(np.maximum(held - low, 0.0) / split)
+    if (overlap < 1.0 - 1e-8).any():
+        raise ProgramError(f"retired wire {wire} not in the recorded {basis} eigenstate")
+    rest = e0.conj()[:, None] * m0 + e1.conj()[:, None] * m1
+    return (rest / np.sqrt(held)[:, None]).reshape((batch,) + (2,) * (psi.ndim - 2))
+
+
+def _record(plan: _Plan, run, row: int, seed: int) -> RunRecord:
+    states, letters, exponents, bits, residues = run
+    n = len(plan.order)
+    return RunRecord(
+        StateVector(n, states[row]),
+        PauliFrame(_frame_word(letters[row], exponents[row])),
+        {name: -1 if bits[slot][row] else 1 for slot, name in enumerate(plan.registers)},
+        seed,
+        tuple((wire, "1" if bit[row] else "0") for wire, bit in residues),
+    )
+
+
+def execute(program: MeasurementProgram, input_state: StateVector, seed: int) -> RunRecord:
+    """Run a measurement program, its meters drawing from one seeded generator.
+
+    The Pauli frame is carried classically; the RunRecord invariant is that
+    applying the frame to final_state reproduces the source circuit's output
+    up to a global phase.  This is the executor's batch of one: the trial
+    gives the same bytes when `check_equivalence` runs it among others.
+    """
+    if input_state.n_qubits != program.n_logical:
+        raise ValueError("input state size does not match program")
+    plan = _plan(program)
+    return _record(plan, _run(plan, input_state.amplitudes[None], [seed]), 0, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -608,6 +829,13 @@ def trial_seed(base_seed: int, trial: int, stream: int) -> int:
     return int(np.random.SeedSequence((base_seed, trial, stream)).generate_state(1)[0])
 
 
+# check_equivalence runs trials in chunks of at most this many amplitudes per
+# state array: one trial at a time at 16 live wires, 1,024 at 6.  Wide rows
+# gain little from batching and would multiply the memory of every temporary.
+# Rows do not affect one another, so the chunk size changes no output.
+_CHUNK_AMPLITUDES = 2**16
+
+
 def check_equivalence(
     circuit: Circuit,
     program: MeasurementProgram,
@@ -617,6 +845,10 @@ def check_equivalence(
 ) -> EquivalenceReport:
     """Compare program execution against direct circuit simulation on random
     inputs: fidelity |<reference | frame . final>| per trial.
+
+    Trials run together, in chunks, through the same executor and reference
+    simulation as `execute` and `simulate_circuit`; each trial's fidelity is
+    the one those would give it alone.
     """
     if circuit.n_qubits != program.n_logical:
         raise ValueError("circuit and program qubit counts differ")
@@ -624,23 +856,29 @@ def check_equivalence(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0 < tol < 1:
         raise ValueError(f"tol must be in (0, 1), got {tol}")
+    plan = _plan(program)
+    n = circuit.n_qubits
+    chunk = max(1, _CHUNK_AMPLITUDES >> plan.peak)
     fidelities = []
-    failing = []
-    counts: dict[str, dict[str, int]] = {}
-    for t in range(trials):
-        input_state = random_state(
-            circuit.n_qubits, np.random.default_rng(trial_seed(base_seed, t, 0))
+    minus_counts = [0] * len(plan.registers)
+    for first in range(0, trials, chunk):
+        ids = range(first, min(trials, first + chunk))
+        inputs = np.array([
+            random_state(n, np.random.default_rng(trial_seed(base_seed, t, 0))).amplitudes
+            for t in ids
+        ])
+        states, letters, exponents, bits, _ = _run(
+            plan, inputs, [trial_seed(base_seed, t, 1) for t in ids]
         )
-        record = execute(program, input_state, trial_seed(base_seed, t, 1))
-        reference, _ = simulate_circuit(circuit, input_state)
-        corrected = apply_pauli(record.final_state, record.frame.element)
-        f = fidelity(reference, corrected)
-        fidelities.append(f)
-        if f < 1.0 - tol:
-            failing.append(t)
-        for reg, value in record.outcomes.items():
-            slot = counts.setdefault(reg, {"+1": 0, "-1": 0})
-            slot["+1" if value == 1 else "-1"] += 1
+        reference, _ = _simulate(circuit, inputs)
+        for row in range(len(ids)):
+            corrected = apply_pauli(
+                StateVector(n, states[row]), _frame_word(letters[row], exponents[row])
+            )
+            fidelities.append(fidelity(StateVector(n, reference[row]), corrected))
+        for slot, outcome_bits in enumerate(bits):
+            minus_counts[slot] += int(np.count_nonzero(outcome_bits))
+    failing = [t for t, f in enumerate(fidelities) if f < 1.0 - tol]
     return EquivalenceReport(
         trials=trials,
         tol=tol,
@@ -648,5 +886,8 @@ def check_equivalence(
         min_fidelity=min(fidelities),
         passed=not failing,
         failing_trials=tuple(failing),
-        outcome_counts=counts,
+        outcome_counts={
+            name: {"+1": trials - m, "-1": m}
+            for name, m in zip(plan.registers, minus_counts)
+        },
     )

@@ -94,39 +94,44 @@ def apply_gate(state: StateVector, gate: np.ndarray, targets: list[int]) -> Stat
     if gate.shape != (2**k, 2**k):
         raise ValueError(f"gate shape {gate.shape} does not act on {k} qubit(s)")
     assert_unitary(gate)
-    return StateVector(n, _apply_dense(state, gate, targets))
+    return StateVector(n, _apply_matrix(state.tensor()[None], gate, targets).reshape(-1))
 
 
-def _apply_dense(state: StateVector, matrix: np.ndarray, targets: list[int]) -> np.ndarray:
-    """Flat amplitudes of `matrix` acting on the listed qubits of `state`."""
+def _apply_matrix(stack: np.ndarray, matrix: np.ndarray, targets: list[int]) -> np.ndarray:
+    """`matrix` acting on the listed qubits of every row of a (B, 2, ..., 2) stack.
+
+    The target axes move next to the batch axis and one stacked matmul
+    contracts them, so every row gets the same arithmetic whatever B is
+    (tensordot, which folds the batch into one product, does not).  The
+    result has the stack's shape, not necessarily its memory layout.
+    """
     k = len(targets)
-    # Contract the matrix (reshaped to a 2k-leg tensor) onto the target axes;
-    # tensordot leaves the matrix's output axes first, then the untouched axes
-    # in their original order, so a single transpose restores the layout.
-    moved = np.tensordot(
-        matrix.reshape([2] * (2 * k)), state.tensor(), axes=(list(range(k, 2 * k)), targets)
-    )
-    rest = [ax for ax in range(state.n_qubits) if ax not in targets]
-    perm = [0] * state.n_qubits
-    for i, t in enumerate(targets):
-        perm[t] = i
-    for i, ax in enumerate(rest):
-        perm[ax] = k + i
-    return np.transpose(moved, axes=perm).reshape(-1)
+    axes = [1 + t for t in targets]
+    order = [0, *axes, *(a for a in range(1, stack.ndim) if a not in axes)]
+    moved = stack.transpose(order)
+    out = np.matmul(matrix, moved.reshape(stack.shape[0], 2**k, -1)).reshape(moved.shape)
+    inverse = [0] * len(order)
+    for i, a in enumerate(order):
+        inverse[a] = i
+    return out.transpose(inverse)
 
 
 def apply_pauli(state: StateVector, pauli: PauliString) -> StateVector:
     """Apply a PauliString as a unitary (phase included)."""
     if pauli.n_qubits != state.n_qubits:
         raise ValueError("Pauli word and state sizes differ")
-    vec = _pauli_action(state.tensor(), pauli)
+    vec = pauli.phase * _pauli_action(state.tensor(), enumerate(pauli.letters))
     return StateVector(state.n_qubits, vec.reshape(-1))
 
 
-def _pauli_action(tensor: np.ndarray, pauli: PauliString) -> np.ndarray:
+def _pauli_action(tensor: np.ndarray, placed) -> np.ndarray:
+    """The Pauli letters of `placed`, (axis, letter) pairs, acting on `tensor`.
+
+    Every letter acts along its own axis by flips and sign or phase changes,
+    so rows of a batch axis never mix.
+    """
     out = tensor
-    phase = pauli.phase
-    for axis, letter in enumerate(pauli.letters):
+    for axis, letter in placed:
         if letter == "I":
             continue
         if letter == "X":
@@ -144,7 +149,7 @@ def _pauli_action(tensor: np.ndarray, pauli: PauliString) -> np.ndarray:
             idx1[axis] = 1
             out[tuple(idx1)] = 1j * out[tuple(idx1)]
             out[tuple(idx0)] = -1j * out[tuple(idx0)]
-    return phase * out
+    return out
 
 
 def measure_pauli(
@@ -165,8 +170,8 @@ def measure_pauli(
     if not observable.is_hermitian:
         raise ValueError(f"observable phase {observable.phase} is not +/-1; not Hermitian")
 
-    acted = _pauli_action(state.tensor(), observable).reshape(-1)
-    return _project(state, acted, observable, rng, force)
+    acted = observable.phase * _pauli_action(state.tensor(), enumerate(observable.letters))
+    return _project(state, acted.reshape(-1), observable, rng, force)
 
 
 def _project(state, acted, observable, rng, force):
@@ -223,7 +228,8 @@ def measure_hermitian(
 
     if label is None:
         label = PauliString.identity(state.n_qubits)
-    return _project(state, _apply_dense(state, observable, targets), label, rng, force)
+    acted = _apply_matrix(state.tensor()[None], observable, targets).reshape(-1)
+    return _project(state, acted, label, rng, force)
 
 
 def equal_up_to_global_phase(
