@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import CANONICAL_TACTICS, PauliString, Strategy, bloch_vector, named_gate, u_z_alpha
-from .statevec import StateVector, apply_gate, measure_pauli, new_basis_state
+from .statevec import StateVector, _apply_matrix, apply_gate, measure_pauli, new_basis_state
 
 SQRT2_INV = 1.0 / np.sqrt(2.0)
 
@@ -42,18 +42,18 @@ class TacticsChoice:
             raise ValueError(f"label {self.label!r} does not encode bits {self.bits}")
 
 
-def _prepared_pair() -> StateVector:
-    """|0>_A (x) |+>_B with the opening CNOT (control B) already applied."""
-    state = new_basis_state(2, "00")
-    state = apply_gate(state, named_gate("H"), [1])
-    return apply_gate(state, named_gate("CNOT"), [1, 0])
+_CNOT = named_gate("CNOT")
+
+# |0>_A (x) |+>_B with the opening CNOT (control B) already applied.  It does
+# not depend on the tactics, so it is built once; the public apply_gate
+# checks H and _CNOT here, at import.
+_PAIR = apply_gate(apply_gate(new_basis_state(2, "00"), named_gate("H"), [1]), _CNOT, [1, 0])
 
 
 def dealer_state(s: Strategy, alpha: float) -> StateVector:
     """Output of the dealer circuit: CNOT_B->A, U_{z,alpha} on A, CNOT_A->B."""
-    state = _prepared_pair()
-    state = apply_gate(state, u_z_alpha(s, alpha), [0])
-    return apply_gate(state, named_gate("CNOT"), [0, 1])
+    state = apply_gate(_PAIR, u_z_alpha(s, alpha), [0])
+    return StateVector(2, _apply_matrix(state.tensor()[None], _CNOT, [0, 1]).reshape(-1))
 
 
 def closed_form_dealer_state(s: Strategy, alpha: float) -> StateVector:

@@ -23,14 +23,18 @@ from types import MappingProxyType
 
 import numpy as np
 
-from .algebra import PauliString, named_gate, pauli_mul
+from .algebra import PauliString, assert_unitary, named_gate, pauli_mul
 from .statevec import (
     MeasurementOutcome,
     StateVector,
+    _apply_matrix,
+    _branch,
+    _check_involution,
+    _check_width,
+    _normalized,
+    _pauli_action,
     append_qubit,
-    append_state,
     apply_gate,
-    measure_hermitian,
     measure_pauli,
     permute_qubits,
     remove_qubit,
@@ -133,7 +137,16 @@ GADGETS = MappingProxyType({
 GADGET_TARGET_UNITARIES = {kind: spec.target for kind, spec in GADGETS.items()}
 
 _ANCILLA_STATES = {"0": np.array([1, 0], dtype=complex), "+": PLUS}
+
+# The built-in matrices the runner applies without per-call checks.  They
+# pass the checks the public apply_gate and measure_hermitian run on caller
+# input once, here, at import.
+_PRE_GATES = {spec.pre: named_gate(spec.pre) for spec in GADGETS.values() if spec.pre}
 _DENSE_METERS = {"G": named_gate("G"), "TdXT": T_CONJUGATED_X}
+for _gate in _PRE_GATES.values():
+    assert_unitary(_gate)
+for _observable in _DENSE_METERS.values():
+    _check_involution(_observable)
 
 
 def _byproduct_word(
@@ -171,6 +184,41 @@ def _check_target(state: StateVector, target: int) -> None:
         raise ValueError(f"target {target} out of range for {state.n_qubits} qubits")
 
 
+def _run_meters(state, wires, pre, prep, meters, rng, forced):
+    """The pre-gate, the ancilla join on wire n and the meters, on raw amplitudes.
+
+    Every intermediate amplitude array passes StateVector's norm rule: each
+    meter applies it to its input, and the returned (n+1)-wire StateVector,
+    the only state built, to the last meter's branch.  Returns (outcomes,
+    state).
+    """
+    width = state.n_qubits + 1
+    _check_width(width)
+    amps = state.amplitudes
+    if pre is not None:
+        amps = _normalized(_apply_matrix(state.tensor()[None], _PRE_GATES[pre], [wires["d"]]).reshape(-1))
+    ancilla = _ANCILLA_STATES[prep]
+    amps = (amps[:, None] * ancilla[None, :]).reshape(-1)
+    outcomes = []
+    for (letters, roles), force in zip(meters, forced):
+        amps = _normalized(amps)
+        on = [wires[role] for role in roles]
+        tensor = amps.reshape((2,) * width)
+        if letters[0] in _DENSE_METERS:
+            observable = PauliString.identity(width)
+            acted = _apply_matrix(tensor[None], _DENSE_METERS[letters[0]], on)
+        else:
+            word = ["I"] * width
+            for wire, letter in zip(on, letters):
+                word[wire] = letter
+            observable = PauliString.from_letters(*word)
+            acted = observable.phase * _pauli_action(tensor, enumerate(observable.letters))
+        eig, prob, branch = _branch(amps, acted.reshape(-1), rng, force)
+        amps = branch / np.sqrt(prob)
+        outcomes.append(MeasurementOutcome(eig, prob, observable))
+    return outcomes, StateVector(width, amps)
+
+
 def _run_gadget(kind, state, targets, rng, forced_outcomes) -> GadgetResult:
     """Run GADGETS[kind] on the logical wires `targets` (in spec.roles order)."""
     spec = GADGETS[kind]
@@ -181,18 +229,7 @@ def _run_gadget(kind, state, targets, rng, forced_outcomes) -> GadgetResult:
     forced = forced_outcomes or [None] * len(spec.meters)
     n = state.n_qubits
     wires = dict(zip(spec.roles, targets), a=n)
-    work = state
-    if spec.pre is not None:
-        work = apply_gate(work, named_gate(spec.pre), [wires["d"]])
-    work = append_state(work, _ANCILLA_STATES[spec.prep])
-    outcomes = []
-    for (letters, roles), force in zip(spec.meters, forced):
-        on = [wires[role] for role in roles]
-        if letters[0] in _DENSE_METERS:
-            outcome, work = measure_hermitian(work, _DENSE_METERS[letters[0]], on, rng, force=force)
-        else:
-            outcome, work = _meter(work, letters, on, rng, force)
-        outcomes.append(outcome)
+    outcomes, work = _run_meters(state, wires, spec.pre, spec.prep, spec.meters, rng, forced)
 
     retired = wires[spec.retired]
     post, _removed = remove_qubit(work, retired)
@@ -296,6 +333,10 @@ def gadget_cnot(
     return _run_gadget("cnot", state, (control, target), rng, forced_outcomes)
 
 
+# X on a |0> ancilla, then X(x)X' on (ancilla, target).
+_XPRIME_METERS = ((("X",), "a"), (("X", "Xp"), "ad"))
+
+
 def measure_xprime_derived(
     state: StateVector,
     target: int,
@@ -314,11 +355,8 @@ def measure_xprime_derived(
         raise ValueError("derived X' takes exactly 2 outcomes")
     forced = forced_outcomes or (None, None)
     n = state.n_qubits
-    anc = n
-    work = append_qubit(state, "0")
-    o1, work = _meter(work, ["X"], [anc], rng, forced[0])
-    o2, work = _meter(work, ["X", "Xp"], [anc, target], rng, forced[1])
-    post, _removed = remove_qubit(work, anc)
+    (o1, o2), work = _run_meters(state, {"d": target, "a": n}, None, "0", _XPRIME_METERS, rng, forced)
+    post, _removed = remove_qubit(work, n)
     reported = MeasurementOutcome(
         o1.eigenvalue * o2.eigenvalue,
         o2.probability,

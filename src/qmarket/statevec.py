@@ -18,28 +18,38 @@ NORM_TOL = 1e-12
 ZERO_BRANCH = 1e-14
 
 
+def _check_width(n_qubits: int) -> None:
+    if n_qubits < 1:
+        raise ValueError(f"need at least one qubit, got {n_qubits}")
+    if n_qubits > MAX_QUBITS:
+        raise ValueError(f"qubit count {n_qubits} exceeds ceiling {MAX_QUBITS}")
+
+
+def _normalized(amplitudes: np.ndarray) -> np.ndarray:
+    """The norm rule every state passes: reject a norm more than 1e-9 from 1,
+    rescale one more than NORM_TOL from 1, keep the array otherwise."""
+    norm = np.linalg.norm(amplitudes)
+    if abs(norm - 1.0) > 1e-9:
+        raise ValueError(f"state norm {norm} too far from 1")
+    if abs(norm - 1.0) > NORM_TOL:
+        amplitudes = amplitudes / norm
+    return amplitudes
+
+
 class StateVector:
     """Normalized complex amplitudes over n qubits."""
 
     __slots__ = ("n_qubits", "amplitudes")
 
     def __init__(self, n_qubits: int, amplitudes: np.ndarray):
-        if n_qubits < 1:
-            raise ValueError(f"need at least one qubit, got {n_qubits}")
-        if n_qubits > MAX_QUBITS:
-            raise ValueError(f"qubit count {n_qubits} exceeds ceiling {MAX_QUBITS}")
+        _check_width(n_qubits)
         amplitudes = np.asarray(amplitudes, dtype=complex).reshape(-1)
         if amplitudes.shape[0] != 2**n_qubits:
             raise ValueError(
                 f"amplitude length {amplitudes.shape[0]} != 2**{n_qubits}"
             )
-        norm = np.linalg.norm(amplitudes)
-        if abs(norm - 1.0) > 1e-9:
-            raise ValueError(f"state norm {norm} too far from 1")
-        if abs(norm - 1.0) > NORM_TOL:
-            amplitudes = amplitudes / norm
         self.n_qubits = n_qubits
-        self.amplitudes = amplitudes
+        self.amplitudes = _normalized(amplitudes)
 
     def norm(self) -> float:
         return float(np.linalg.norm(self.amplitudes))
@@ -176,8 +186,20 @@ def measure_pauli(
 
 def _project(state, acted, observable, rng, force):
     """Sample (or force) a branch of the involution whose action is `acted`."""
-    plus = (state.amplitudes + acted) / 2.0
-    minus = (state.amplitudes - acted) / 2.0
+    eig, prob, branch = _branch(state.amplitudes, acted, rng, force)
+    post = StateVector(state.n_qubits, branch / np.sqrt(prob))
+    return MeasurementOutcome(eig, prob, observable), post
+
+
+def _branch(amplitudes, acted, rng, force):
+    """The Born rule for the involution whose action on `amplitudes` is `acted`.
+
+    Returns (eigenvalue, probability, unnormalized projection).  A branch
+    below ZERO_BRANCH is never sampled and consumes no draw; a stochastic
+    meter draws one `rng.random()`.
+    """
+    plus = (amplitudes + acted) / 2.0
+    minus = (amplitudes - acted) / 2.0
     p_plus = float(np.vdot(plus, plus).real)
     p_minus = float(np.vdot(minus, minus).real)
     if force is not None:
@@ -199,9 +221,7 @@ def _project(state, acted, observable, rng, force):
         prob = p_plus if eig == 1 else p_minus
     if prob < ZERO_BRANCH:  # pragma: no cover - guarded above
         raise RuntimeError("sampled a zero-probability branch")
-    branch = plus if eig == 1 else minus
-    post = StateVector(state.n_qubits, branch / np.sqrt(prob))
-    return MeasurementOutcome(eig, prob, observable), post
+    return eig, prob, plus if eig == 1 else minus
 
 
 def measure_hermitian(
@@ -221,15 +241,19 @@ def measure_hermitian(
     dim = 2 ** len(targets)
     if observable.shape != (dim, dim):
         raise ValueError(f"observable shape {observable.shape} does not fit targets {targets}")
-    if not np.allclose(observable, observable.conj().T, atol=1e-10):
-        raise ValueError("observable is not Hermitian")
-    if not np.allclose(observable @ observable, np.eye(dim), atol=1e-10):
-        raise ValueError("observable is not an involution (eigenvalues must be +/-1)")
-
+    _check_involution(observable)
     if label is None:
         label = PauliString.identity(state.n_qubits)
     acted = _apply_matrix(state.tensor()[None], observable, targets).reshape(-1)
     return _project(state, acted, label, rng, force)
+
+
+def _check_involution(observable: np.ndarray) -> None:
+    """Raise unless the square matrix `observable` is a Hermitian involution."""
+    if not np.allclose(observable, observable.conj().T, atol=1e-10):
+        raise ValueError("observable is not Hermitian")
+    if not np.allclose(observable @ observable, np.eye(observable.shape[0]), atol=1e-10):
+        raise ValueError("observable is not an involution (eigenvalues must be +/-1)")
 
 
 def equal_up_to_global_phase(
