@@ -8,6 +8,7 @@ error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -307,6 +308,11 @@ def _parse_tol(text: str) -> float:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build()[0]
+
+
+def _build() -> tuple[argparse.ArgumentParser, tuple[argparse.ArgumentParser, ...]]:
+    """The parser and its subcommand parsers, which all take --seed."""
     parser = argparse.ArgumentParser(
         prog="qmarket",
         description="Measurement-only implementation of quantum market tactics.",
@@ -349,11 +355,19 @@ def build_parser() -> argparse.ArgumentParser:
     demo_p.add_argument("--force-outcomes", type=_parse_forced, default=None,
                         dest="force_outcomes", help="testing hook for demo gadgets: comma list of +/-1")
     demo_p.set_defaults(func=cmd_demo)
-    return parser
+    return parser, (run_p, compile_p, verify_p, demo_p)
+
+
+# main's parser, built on first use and kept for the process.
+_parser = functools.cache(_build)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser, commands = _parser()
+    # The --seed default is $QMARKET_SEED as it is at this call.
+    seed = os.environ.get(SEED_ENV_VAR, "0")
+    for command in commands:
+        command.set_defaults(seed=seed)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -38,7 +38,6 @@ from .algebra import (
     PAULI_LETTERS,
     NonPauliResultError,
     PauliString,
-    conjugate_by,
     named_gate,
 )
 from .gadgets import GADGETS
@@ -47,11 +46,12 @@ from .statevec import (
     MAX_QUBITS,
     ZERO_BRANCH,
     StateVector,
+    _act,
     _apply_matrix,
+    _normalized,
     _pauli_action,
+    _pauli_slices,
     apply_gate,
-    apply_pauli,
-    fidelity,
     measure_pauli,
     new_basis_state,
     random_state,
@@ -527,6 +527,14 @@ _RESIDUE_EIGENVECTORS = {
     "X": np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2),
     "G": np.array([_g_vecs[:, int(np.argmax(_g_vals))], _g_vecs[:, int(np.argmin(_g_vals))]]),
 }
+# residue basis -> what `_retire` reads of eigenvector e = (e0, e1), indexed
+# by the bit: (conj e0, conj e1, |e0|^2, |e1|^2, conj(e0) e1), the same
+# elementwise products a per-row computation would form.
+_RESIDUE_TERMS = {
+    basis: (e[:, 0].conj(), e[:, 1].conj(), abs(e[:, 0]) ** 2, abs(e[:, 1]) ** 2,
+            e[:, 0].conj() * e[:, 1])
+    for basis, e in _RESIDUE_EIGENVECTORS.items()
+}
 _G = named_gate("G")
 
 # A batch's Pauli frame is a (B, n) array of letter codes, the index into
@@ -566,11 +574,13 @@ def _frame_word(letters: np.ndarray, exponent) -> PauliString:
 def _multiply(letters, exponents, wire: int, code: int, mask, left: bool) -> None:
     """Multiply the letter `code` on `wire` into the frame rows where `mask` is
     set: on the left for a byproduct, which acts after the frame, or on the
-    right for a Pauli applied to the state the frame dresses."""
+    right for a Pauli applied to the state the frame dresses.  Other rows
+    multiply by I (code 0), which leaves them as they are."""
+    factor = mask * code
     current = letters[:, wire]
-    flat = code * 4 + current if left else current * 4 + code
-    letters[:, wire] = np.where(mask, _MUL_CODES[flat, 0], current)
-    exponents += np.where(mask, _MUL_EXPONENTS[flat], 0)
+    flat = factor * 4 + current if left else current * 4 + factor
+    letters[:, wire] = _MUL_CODES[flat, 0]
+    exponents += _MUL_EXPONENTS[flat]
 
 
 def _push(letters, exponents, gate: str, wires: tuple[int, ...]) -> None:
@@ -603,7 +613,8 @@ class _Plan:
 def _plan(program: MeasurementProgram) -> _Plan:
     """Resolve every wire of `program` to a state axis and check the program:
     registers set before use, known gates and letters, and no ancilla left
-    attached at the end."""
+    attached at the end.  Pauli actions are resolved to their slicing here,
+    so the steps index the state directly."""
     n = program.n_logical
     positions: dict[Wire, int] = {i: i for i in range(n)}
     registers: dict[str, int] = {}
@@ -627,24 +638,28 @@ def _plan(program: MeasurementProgram) -> _Plan:
             steps.append(("prepare",))
         elif isinstance(ins, (MeasurePauliInstr, MeasureGInstr)):
             if isinstance(ins, MeasureGInstr):
-                step = ("measure_g", positions[ins.wire])
+                step = ("measure_g", [positions[ins.wire]])
             else:
                 if len(set(ins.wires)) != len(ins.wires) or any(
                     letter not in _CODE for letter in ins.letters
                 ):
                     raise ProgramError(f"bad meter {ins.letters} on {ins.wires}")
                 placed = tuple((1 + positions[w], l) for l, w in zip(ins.letters, ins.wires))
-                step = ("measure", placed)
+                step = ("measure", *_pauli_slices(1 + width, placed))
             meters += 1
             steps.append(step + (registers.setdefault(ins.register, len(registers)),))
         elif isinstance(ins, Correct):
-            steps.append(("correct", 1 + positions[ins.wire], ins.wire, ins.component))
+            bit, letter = (1, "X") if ins.component == "x" else (2, "Xp")
+            action = _pauli_slices(1 + width, [(1 + positions[ins.wire], letter)])
+            steps.append(("correct", *action, ins.wire, bit, _CODE[letter]))
         elif isinstance(ins, Retire):
             residue = slots(ins.residue_registers)
             if width < 2:
                 raise ValueError("cannot remove the last qubit")
             pos = positions.pop(ins.wire)
-            steps.append(("retire", 1 + pos, str(ins.wire), ins.residue_basis, residue))
+            # The axis order that brings the retired wire next to the batch axis.
+            order = (0, 1 + pos, *(a for a in range(1, 1 + width) if a != 1 + pos))
+            steps.append(("retire", order, str(ins.wire), ins.residue_basis, residue))
             width -= 1
             for wire, p in positions.items():
                 if p > pos:
@@ -656,11 +671,10 @@ def _plan(program: MeasurementProgram) -> _Plan:
         elif isinstance(ins, Feedforward):
             if ins.push is not None:
                 gate, wires = ins.push
-                # conjugate_by's own checks reject unknown gates and bad targets.
-                conjugate_by(PauliString.identity(n), gate, list(wires))
+                _check_push(gate, list(wires), n)
                 steps.append(("push", gate, tuple(wires)))
             for term in ins.byproduct:
-                PauliString.single(n, term.wire, term.letter)  # checks letter and wire
+                _check_term(term.wire, term.letter, n)
                 steps.append(("byproduct", _CODE[term.letter], term.wire, slots(term.registers)))
         else:
             raise ProgramError(f"unknown instruction {ins!r}")
@@ -668,6 +682,30 @@ def _plan(program: MeasurementProgram) -> _Plan:
         raise ProgramError("program finished with ancillas still attached")
     order = tuple(positions[i] for i in range(n))
     return _Plan(tuple(steps), tuple(registers), meters, peak, order)
+
+
+def _check_push(gate: str, targets: list, n: int) -> None:
+    """Reject a frame push `conjugate_by` would reject on an n-qubit frame,
+    with its exceptions and messages."""
+    if gate not in _PUSH_CODES:
+        raise ValueError(f"unsupported conjugator {gate!r}")
+    arity = _PUSH_CODES[gate][0].shape[1]
+    if len(targets) != arity:
+        raise ValueError(f"{gate} conjugates {arity} qubit(s), got targets {targets}")
+    if len(set(targets)) != arity or any(t < 0 or t >= n for t in targets):
+        raise ValueError(f"bad targets {targets} for {n}-qubit Pauli")
+
+
+def _check_term(wire, letter: str, n: int) -> None:
+    """Reject a byproduct term `PauliString.single(n, wire, letter)` would
+    reject, with its exceptions and messages: the wire is a list index, so
+    -n <= wire < n, and the letter is a Pauli letter."""
+    if not isinstance(wire, (int, np.integer)):
+        raise TypeError(f"list indices must be integers or slices, not {type(wire).__name__}")
+    if not -n <= wire < n:
+        raise IndexError("list assignment index out of range")
+    if letter not in _CODE:
+        raise ValueError(f"unknown Pauli letter {letter!r}")
 
 
 def _run(plan: _Plan, stack: np.ndarray, seeds: list[int]):
@@ -692,9 +730,11 @@ def _run(plan: _Plan, stack: np.ndarray, seeds: list[int]):
     residues = []
 
     def parity(registers) -> np.ndarray:
-        out = np.zeros(batch, dtype=bool)
-        for slot in registers:
-            out ^= bits[slot]
+        if not registers:
+            return np.zeros(batch, dtype=bool)
+        out = bits[registers[0]]
+        for slot in registers[1:]:
+            out = out ^ bits[slot]
         return out
 
     for step in plan.steps:
@@ -705,38 +745,41 @@ def _run(plan: _Plan, stack: np.ndarray, seeds: list[int]):
             psi = grown
         elif kind == "measure" or kind == "measure_g":
             if kind == "measure":
-                acted = _pauli_action(psi, step[1])
+                acted = _act(psi, step[1], step[2])
             else:
-                acted = _apply_matrix(psi, _G, [step[1]])
-            flat, acted = psi.reshape(batch, -1), acted.reshape(batch, -1)
-            plus, minus = (flat + acted) / 2.0, (flat - acted) / 2.0
-            p_plus, p_minus = _row_weights(plus), _row_weights(minus)
-            zero_plus = p_plus < ZERO_BRANCH
-            zero_minus = p_minus < ZERO_BRANCH
-            is_plus = ~zero_plus & (zero_minus | (uniforms[rows, cursor] < p_plus))
+                acted = _apply_matrix(psi, _G, step[1])
+            # Both projections unhalved, (1 + P) psi and (1 - P) psi.  Halving
+            # is exact, so it moves into the weights (/4) and the divisor
+            # (2 sqrt(p)): the same floats as halving first, in fewer passes.
+            both = np.empty((2,) + psi.shape, dtype=complex)
+            np.add(psi, acted, out=both[0])
+            np.subtract(psi, acted, out=both[1])
+            both = both.reshape(2, batch, -1)
+            weights = _row_weights(both.reshape(2 * batch, -1)).reshape(2, batch) / 4
+            zero_plus, zero_minus = weights < ZERO_BRANCH
+            minus = zero_plus | ~(zero_minus | (uniforms[rows, cursor] < weights[0]))
             cursor += ~(zero_plus | zero_minus)
-            prob = np.where(is_plus, p_plus, p_minus)
-            branch = np.where(is_plus[:, None], plus, minus) / np.sqrt(prob)[:, None]
+            chosen = minus.astype(np.intp)
+            branch = both[chosen, rows] / (2 * np.sqrt(weights[chosen, rows]))[:, None]
             psi = branch.reshape(psi.shape)
-            bits[step[2]] = ~is_plus
+            bits[step[-1]] = minus
         elif kind == "correct":
-            _, axis, wire, component = step
-            bit, letter = (1, "X") if component == "x" else (2, "Xp")
+            _, flip, phases, wire, bit, code = step
             mask = (letters[:, wire] & bit) != 0
             if mask.any():
-                flipped = _pauli_action(psi, [(axis, letter)])
+                flipped = _act(psi, flip, phases)
                 psi = np.where(mask.reshape((batch,) + (1,) * (psi.ndim - 1)), flipped, psi)
-                _multiply(letters, exponents, wire, _CODE[letter], mask, left=False)
+                _multiply(letters, exponents, wire, code, mask, left=False)
         elif kind == "retire":
-            _, axis, wire, basis, registers = step
+            _, order, wire, basis, registers = step
             bit = parity(registers)
-            psi = _retire(psi, axis, _RESIDUE_EIGENVECTORS[basis][bit.astype(np.intp)], wire, basis)
+            psi = _retire(psi, order, basis, bit.astype(np.intp), wire)
             residues.append((wire, bit))
         elif kind == "push":
             _push(letters, exponents, step[1], step[2])
         else:  # byproduct
             _, code, wire, registers = step
-            mask = parity(registers) if registers else np.ones(batch, dtype=bool)
+            mask = parity(registers) if registers else True
             _multiply(letters, exponents, wire, code, mask, left=True)
 
     # Promotions can leave the physical wire order permuted; restore logical order.
@@ -755,32 +798,47 @@ def _row_weights(rows: np.ndarray) -> np.ndarray:
     return np.square(rows.view(np.float64)).sum(axis=1)
 
 
-def _retire(psi, axis: int, eigenvectors, wire: str, basis: str) -> np.ndarray:
-    """Drop the wire on `axis` of every row, contracting it with that row's
-    recorded residue eigenvector e, once the wire is shown to hold e and to be
+def _retire(psi, order: tuple[int, ...], basis: str, bit: np.ndarray, wire: str) -> np.ndarray:
+    """Drop the wire that `order` moves next to the batch axis, contracting
+    it with each row's recorded residue eigenvector e (row b: the basis's
+    eigenvector number bit[b]), once the wire is shown to hold e and to be
     unentangled with the rest."""
     batch = psi.shape[0]
-    pair = np.ascontiguousarray(np.moveaxis(psi, axis, 1)).reshape(batch, 2, -1)
+    pair = np.ascontiguousarray(psi.transpose(order)).reshape(batch, 2, -1)
     m0, m1 = pair[:, 0], pair[:, 1]
     # The wire's reduced density matrix rho = M M+, M the 2 x rest matrix of a row.
-    r00, r11 = _row_weights(m0), _row_weights(m1)
+    r00, r11 = _row_weights(pair.reshape(2 * batch, -1)).reshape(batch, 2).T
     r01 = (m0 * m1.conj()).sum(axis=1)
+    e0, e1, c0, c1, c01 = (terms[bit] for terms in _RESIDUE_TERMS[basis])
+    held = c0 * r00 + c1 * r11 + 2 * (c01 * r01).real  # <e|rho|e>
+    total = r00 + r11
+    # Sufficient pre-check: total - held is the weight of e-perp, and it bounds
+    # both checks.  rho's second eigenvalue is at most that weight (Rayleigh),
+    # and 1 - overlap^2 = (high - held) / split <= (total - held) / split.  So
+    # with total - held <= 1e-13 and 0.5 <= total <= 2, both checks pass with
+    # margins far above rounding, and the eigen-analysis is skipped.
+    if np.count_nonzero((total - held > 1e-13) | (abs(total - 1.25) > 0.75)):
+        _check_residue(r00, r11, r01, total, held, wire, basis)
+    rest = e0[:, None] * m0 + e1[:, None] * m1
+    return (rest / np.sqrt(held)[:, None]).reshape((batch,) + (2,) * (psi.ndim - 2))
+
+
+def _check_residue(r00, r11, r01, total, held, wire: str, basis: str) -> None:
+    """Raise unless every row's rho = [[r00, r01], [r01*, r11]] has a second
+    eigenvalue of at most 1e-12 and a top eigenvector within 1e-8 of the
+    residue eigenvector e, where held = <e|rho|e> and total = r00 + r11."""
     split = np.sqrt((r00 - r11) ** 2 + 4 * (r01.real**2 + r01.imag**2))
-    low = (r00 + r11 - split) / 2  # second eigenvalue: the weight of entanglement
+    low = (total - split) / 2  # second eigenvalue: the weight of entanglement
     if (low > 1e-12).any():
         row = int(np.argmax(low))
         raise ProgramError(
             f"retired wire {wire} is entangled with the rest (residual weight {low[row]:.2e})"
         )
-    e0, e1 = eigenvectors[:, 0], eigenvectors[:, 1]
-    held = (abs(e0) ** 2 * r00 + abs(e1) ** 2 * r11 + 2 * (e0.conj() * e1 * r01).real)
     # <e|rho|e> = high |<e|u0>|^2 + low |<e|u1>|^2, u0 the top eigenvector, so
     # |<e|u0>| is the overlap the removed wire has with e.
     overlap = np.sqrt(np.maximum(held - low, 0.0) / split)
     if (overlap < 1.0 - 1e-8).any():
         raise ProgramError(f"retired wire {wire} not in the recorded {basis} eigenstate")
-    rest = e0.conj()[:, None] * m0 + e1.conj()[:, None] * m1
-    return (rest / np.sqrt(held)[:, None]).reshape((batch,) + (2,) * (psi.ndim - 2))
 
 
 def _record(plan: _Plan, run, row: int, seed: int) -> RunRecord:
@@ -871,11 +929,14 @@ def check_equivalence(
             plan, inputs, [trial_seed(base_seed, t, 1) for t in ids]
         )
         reference, _ = _simulate(circuit, inputs)
-        for row in range(len(ids)):
-            corrected = apply_pauli(
-                StateVector(n, states[row]), _frame_word(letters[row], exponents[row])
-            )
-            fidelities.append(fidelity(StateVector(n, reference[row]), corrected))
+        # fidelity(StateVector(reference), apply_pauli(StateVector(state), frame))
+        # per row, through the same calls without building the wrappers.
+        for row, codes in enumerate(letters.tolist()):
+            word = [(axis, PAULI_LETTERS[code]) for axis, code in enumerate(codes)]
+            final = _normalized(states[row]).reshape((2,) * n)
+            corrected = _PHASE[int(exponents[row]) % 4] * _pauli_action(final, word)
+            overlap = np.vdot(_normalized(reference[row]), _normalized(corrected.reshape(-1)))
+            fidelities.append(float(abs(overlap)))
         for slot, outcome_bits in enumerate(bits):
             minus_counts[slot] += int(np.count_nonzero(outcome_bits))
     failing = [t for t, f in enumerate(fidelities) if f < 1.0 - tol]

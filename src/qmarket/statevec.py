@@ -25,10 +25,18 @@ def _check_width(n_qubits: int) -> None:
         raise ValueError(f"qubit count {n_qubits} exceeds ceiling {MAX_QUBITS}")
 
 
+def _norm(amplitudes: np.ndarray):
+    """`np.linalg.norm` of a complex array, by the same two dot products
+    over the same memory-order ravel, without its argument handling."""
+    flat = amplitudes.ravel(order="K")
+    re, im = flat.real, flat.imag
+    return np.sqrt(re.dot(re) + im.dot(im))
+
+
 def _normalized(amplitudes: np.ndarray) -> np.ndarray:
     """The norm rule every state passes: reject a norm more than 1e-9 from 1,
     rescale one more than NORM_TOL from 1, keep the array otherwise."""
-    norm = np.linalg.norm(amplitudes)
+    norm = _norm(amplitudes)
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"state norm {norm} too far from 1")
     if abs(norm - 1.0) > NORM_TOL:
@@ -89,7 +97,7 @@ def new_basis_state(n_qubits: int, bits: str) -> StateVector:
 
 def random_state(n_qubits: int, rng: np.random.Generator) -> StateVector:
     vec = rng.normal(size=2**n_qubits) + 1j * rng.normal(size=2**n_qubits)
-    return StateVector(n_qubits, vec / np.linalg.norm(vec))
+    return StateVector(n_qubits, vec / _norm(vec))
 
 
 def apply_gate(state: StateVector, gate: np.ndarray, targets: list[int]) -> StateVector:
@@ -135,30 +143,46 @@ def apply_pauli(state: StateVector, pauli: PauliString) -> StateVector:
 
 
 def _pauli_action(tensor: np.ndarray, placed) -> np.ndarray:
-    """The Pauli letters of `placed`, (axis, letter) pairs, acting on `tensor`.
+    """The Pauli letters of `placed`, (axis, letter) pairs on distinct axes,
+    acting on `tensor`.
 
     Every letter acts along its own axis by flips and sign or phase changes,
     so rows of a batch axis never mix.
     """
-    out = tensor
+    return _act(tensor, *_pauli_slices(tensor.ndim, placed))
+
+
+def _pauli_slices(ndim: int, placed) -> tuple[tuple, tuple]:
+    """The indexing `_act` needs for the letters of `placed` on a tensor of
+    `ndim` axes: one index that reverses every X and X'' axis, and per X' or
+    X'' letter, in order, (letter, index of its |0> half, index of its |1>
+    half)."""
+    flip = [slice(None)] * ndim
+    phases = []
     for axis, letter in placed:
         if letter == "I":
             continue
-        if letter == "X":
-            out = np.flip(out, axis=axis)
-        elif letter == "Xp":
-            out = out.copy()
-            idx = [slice(None)] * out.ndim
-            idx[axis] = 1
-            out[tuple(idx)] = -out[tuple(idx)]
-        else:  # Xpp = i X Xp: |0> -> i|1>, |1> -> -i|0>
-            out = np.flip(out, axis=axis).copy()
-            idx0 = [slice(None)] * out.ndim
-            idx1 = [slice(None)] * out.ndim
-            idx0[axis] = 0
-            idx1[axis] = 1
-            out[tuple(idx1)] = 1j * out[tuple(idx1)]
-            out[tuple(idx0)] = -1j * out[tuple(idx0)]
+        if letter != "Xp":  # X or Xpp
+            flip[axis] = slice(None, None, -1)
+        if letter != "X":  # Xp or Xpp
+            halves = [slice(None)] * ndim, [slice(None)] * ndim
+            halves[0][axis], halves[1][axis] = 0, 1
+            phases.append((letter, tuple(halves[0]), tuple(halves[1])))
+    return tuple(flip), tuple(phases)
+
+
+def _act(tensor: np.ndarray, flip: tuple, phases: tuple) -> np.ndarray:
+    """A Pauli word's action from its `_pauli_slices`: the flips as one view
+    (what `np.flip` returns), then the sign and phase changes on a copy."""
+    out = tensor[flip]
+    if phases:
+        out = out.copy()
+        for letter, half0, half1 in phases:
+            if letter == "Xp":
+                out[half1] = -out[half1]
+            else:  # Xpp = i X Xp: |0> -> i|1>, |1> -> -i|0>
+                out[half1] = 1j * out[half1]
+                out[half0] = -1j * out[half0]
     return out
 
 
