@@ -128,15 +128,23 @@ def cmd_run(args) -> int:
     return _emit(lines, args.out)
 
 
-def cmd_compile(args) -> int:
+def _compile(args):
+    """Read and compile `args.circuit` in `args.mode`: (circuit, program,
+    EXIT_OK), or (None, None, exit code) after reporting the error."""
     circuit, code = _read_circuit(args.circuit)
     if circuit is None:
-        return code
+        return None, None, code
     try:
-        program = compile_to_measurements(circuit, args.mode)
+        return circuit, compile_to_measurements(circuit, args.mode), EXIT_OK
     except CompileError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return None, None, EXIT_USAGE
+
+
+def cmd_compile(args) -> int:
+    _, program, code = _compile(args)
+    if program is None:
+        return code
     return _emit(program.to_json_lines().rstrip("\n").split("\n"), args.out)
 
 
@@ -151,14 +159,9 @@ def _corrupt(program: MeasurementProgram) -> MeasurementProgram:
 
 
 def cmd_verify(args) -> int:
-    circuit, code = _read_circuit(args.circuit)
-    if circuit is None:
+    circuit, program, code = _compile(args)
+    if program is None:
         return code
-    try:
-        program = compile_to_measurements(circuit, args.mode)
-    except CompileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     if args.corrupt:
         program = _corrupt(program)
     report = check_equivalence(circuit, program, args.trials, args.tol, base_seed=args.seed)

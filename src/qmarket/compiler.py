@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -130,8 +131,8 @@ def parse_circuit(text: str) -> Circuit:
                 n_qubits = int(parts[1])
             except ValueError:
                 raise ParseError(f"bad qubit count {parts[1]!r}", line_no) from None
-            if n_qubits < 1 or n_qubits > 16:
-                raise ParseError(f"qubit count {n_qubits} out of range 1..16", line_no)
+            if n_qubits < 1 or n_qubits > MAX_QUBITS:
+                raise ParseError(f"qubit count {n_qubits} out of range 1..{MAX_QUBITS}", line_no)
             continue
         name = parts[0]
         if name not in PARSEABLE_GATES:
@@ -287,21 +288,16 @@ class MeasurementProgram:
     def ancilla_count(self) -> int:
         return sum(1 for ins in self.instructions if isinstance(ins, Prepare))
 
+    @cached_property
+    def _planned(self) -> _Plan:
+        """The program's one analysis, `_plan`, made on first use and kept.
+        A frozen dataclass without slots still has the __dict__ that
+        cached_property writes to."""
+        return _plan(self)
+
     def validate_structure(self) -> None:
-        """Enforce the primitive meter set for this program's mode."""
-        for ins in self.measurements:
-            if isinstance(ins, MeasureGInstr):
-                continue
-            if self.primitive_set == "strict":
-                if ins.letters not in (("X",), ("X", "Xp")):
-                    raise CompileError(
-                        f"strict program measures {ins.letters}, outside {{X, G, XxX'}}"
-                    )
-            else:
-                if not all(letter in ("X", "Xp", "Xpp") for letter in ins.letters):
-                    raise CompileError(f"bad extended meter {ins.letters}")
-                if len(ins.letters) > 2:
-                    raise CompileError("meters act on at most two qubits")
+        """Check the program, its mode's primitive meter set included: plan it."""
+        self._planned
 
     def to_json_lines(self) -> str:
         lines = [
@@ -480,17 +476,6 @@ def compile_to_measurements(circuit: Circuit, mode: str = "extended") -> Measure
                 Feedforward(None, (ByproductTerm(_GATE_NAMES[op.name], op.targets[0], ()),))
             )
         # "i": nothing to emit
-    live = peak = circuit.n_qubits
-    for ins in b.instructions:
-        if isinstance(ins, Prepare):
-            live += 1
-            peak = max(peak, live)
-        elif isinstance(ins, Retire):
-            live -= 1
-    if peak > MAX_QUBITS:
-        raise CompileError(
-            f"program needs {peak} live wires, above the simulator ceiling of {MAX_QUBITS}"
-        )
     program = MeasurementProgram(
         circuit.n_qubits, tuple(b.instructions), mode, tuple(b.expansions)
     )
@@ -612,15 +597,26 @@ class _Plan:
 
 def _plan(program: MeasurementProgram) -> _Plan:
     """Resolve every wire of `program` to a state axis and check the program:
-    registers set before use, known gates and letters, and no ancilla left
-    attached at the end.  Pauli actions are resolved to their slicing here,
-    so the steps index the state directly."""
+    a known mode and its primitive meter set, live wires, registers set once
+    and before use, known gates, letters, corrections and residue bases, no
+    ancilla left attached at the end, and the simulator ceiling.  This is the
+    only pass that checks a program; `MeasurementProgram` keeps its result.
+    Pauli actions are resolved to their slicing here, so the steps index the
+    state directly."""
+    if program.primitive_set not in ("extended", "strict"):
+        raise ProgramError(f"unknown primitive set {program.primitive_set!r}")
     n = program.n_logical
+    strict = program.primitive_set == "strict"
     positions: dict[Wire, int] = {i: i for i in range(n)}
     registers: dict[str, int] = {}
     steps: list[tuple] = []
     width = peak = n
     meters = 0
+
+    def at(wire) -> int:
+        if wire not in positions:
+            raise ProgramError(f"wire {wire!r} is not live")
+        return positions[wire]
 
     def slots(names) -> tuple[int, ...]:
         for name in names:
@@ -630,33 +626,47 @@ def _plan(program: MeasurementProgram) -> _Plan:
 
     for ins in program.instructions:
         if isinstance(ins, Prepare):
+            if ins.wire in positions:
+                raise ProgramError(f"wire {ins.wire!r} is already live")
             positions[ins.wire] = width
             width += 1
-            if width > MAX_QUBITS:
-                raise ValueError(f"qubit count {width} exceeds ceiling {MAX_QUBITS}")
             peak = max(peak, width)
             steps.append(("prepare",))
         elif isinstance(ins, (MeasurePauliInstr, MeasureGInstr)):
             if isinstance(ins, MeasureGInstr):
-                step = ("measure_g", [positions[ins.wire]])
+                step = ("measure_g", [at(ins.wire)])
             else:
-                if len(set(ins.wires)) != len(ins.wires) or any(
-                    letter not in _CODE for letter in ins.letters
-                ):
+                if strict and ins.letters not in (("X",), ("X", "Xp")):
+                    raise CompileError(
+                        f"strict program measures {ins.letters}, outside {{X, G, XxX'}}"
+                    )
+                if not ins.letters or not set(ins.letters) <= {"X", "Xp", "Xpp"}:
+                    raise CompileError(f"bad extended meter {ins.letters}")
+                if len(ins.letters) > 2:
+                    raise CompileError("meters act on at most two qubits")
+                if not len(set(ins.wires)) == len(ins.wires) == len(ins.letters):
                     raise ProgramError(f"bad meter {ins.letters} on {ins.wires}")
-                placed = tuple((1 + positions[w], l) for l, w in zip(ins.letters, ins.wires))
+                placed = tuple((1 + at(w), l) for l, w in zip(ins.letters, ins.wires))
                 step = ("measure", *_pauli_slices(1 + width, placed))
+            if ins.register in registers:
+                raise ProgramError(f"register {ins.register!r} set twice")
+            registers[ins.register] = len(registers)
             meters += 1
-            steps.append(step + (registers.setdefault(ins.register, len(registers)),))
+            steps.append(step + (registers[ins.register],))
         elif isinstance(ins, Correct):
+            if ins.component not in ("x", "z") or ins.wire not in range(n):
+                raise ProgramError(f"bad correct {ins.component!r} on wire {ins.wire!r}")
             bit, letter = (1, "X") if ins.component == "x" else (2, "Xp")
-            action = _pauli_slices(1 + width, [(1 + positions[ins.wire], letter)])
+            action = _pauli_slices(1 + width, [(1 + at(ins.wire), letter)])
             steps.append(("correct", *action, ins.wire, bit, _CODE[letter]))
         elif isinstance(ins, Retire):
+            if ins.residue_basis not in _RESIDUE_TERMS:
+                raise ProgramError(f"unknown residue basis {ins.residue_basis!r}")
             residue = slots(ins.residue_registers)
             if width < 2:
-                raise ValueError("cannot remove the last qubit")
-            pos = positions.pop(ins.wire)
+                raise ProgramError("cannot remove the last qubit")
+            pos = at(ins.wire)
+            del positions[ins.wire]
             # The axis order that brings the retired wire next to the batch axis.
             order = (0, 1 + pos, *(a for a in range(1, 1 + width) if a != 1 + pos))
             steps.append(("retire", order, str(ins.wire), ins.residue_basis, residue))
@@ -667,7 +677,8 @@ def _plan(program: MeasurementProgram) -> _Plan:
             if ins.promote is not None:
                 if not isinstance(ins.wire, int):
                     raise ProgramError("can only promote into a logical slot")
-                positions[ins.wire] = positions.pop(ins.promote)
+                positions[ins.wire] = at(ins.promote)
+                del positions[ins.promote]
         elif isinstance(ins, Feedforward):
             if ins.push is not None:
                 gate, wires = ins.push
@@ -678,8 +689,14 @@ def _plan(program: MeasurementProgram) -> _Plan:
                 steps.append(("byproduct", _CODE[term.letter], term.wire, slots(term.registers)))
         else:
             raise ProgramError(f"unknown instruction {ins!r}")
-    if width != n:
+    if peak > MAX_QUBITS:
+        raise CompileError(
+            f"program needs {peak} live wires, above the simulator ceiling of {MAX_QUBITS}"
+        )
+    if width > n:
         raise ProgramError("program finished with ancillas still attached")
+    if set(positions) != set(range(n)):
+        raise ProgramError("program finished without all of its logical wires")
     order = tuple(positions[i] for i in range(n))
     return _Plan(tuple(steps), tuple(registers), meters, peak, order)
 
@@ -698,11 +715,13 @@ def _check_push(gate: str, targets: list, n: int) -> None:
 
 def _check_term(wire, letter: str, n: int) -> None:
     """Reject a byproduct term `PauliString.single(n, wire, letter)` would
-    reject, with its exceptions and messages: the wire is a list index, so
-    -n <= wire < n, and the letter is a Pauli letter."""
+    reject, with its exceptions and messages: the wire is an integer and the
+    letter a Pauli letter.  The wire must also satisfy 0 <= wire < n; a
+    negative one, which a list index would count from the end, is out of
+    range too."""
     if not isinstance(wire, (int, np.integer)):
         raise TypeError(f"list indices must be integers or slices, not {type(wire).__name__}")
-    if not -n <= wire < n:
+    if not 0 <= wire < n:
         raise IndexError("list assignment index out of range")
     if letter not in _CODE:
         raise ValueError(f"unknown Pauli letter {letter!r}")
@@ -863,7 +882,7 @@ def execute(program: MeasurementProgram, input_state: StateVector, seed: int) ->
     """
     if input_state.n_qubits != program.n_logical:
         raise ValueError("input state size does not match program")
-    plan = _plan(program)
+    plan = program._planned
     return _record(plan, _run(plan, input_state.amplitudes[None], [seed]), 0, seed)
 
 
@@ -914,7 +933,7 @@ def check_equivalence(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0 < tol < 1:
         raise ValueError(f"tol must be in (0, 1), got {tol}")
-    plan = _plan(program)
+    plan = program._planned
     n = circuit.n_qubits
     chunk = max(1, _CHUNK_AMPLITUDES >> plan.peak)
     fidelities = []

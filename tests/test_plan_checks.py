@@ -1,24 +1,48 @@
-"""`_plan` checks frame pushes and byproduct terms without building Pauli words.
+"""`_plan` is the one analysis of a program, and it checks everything.
 
-It checks a push's gate, arity and targets, and a term's wire and letter,
-directly.  For the same input it must raise what `conjugate_by` on an
-identity frame and `PauliString.single` raise: the same exception type and
-message.
+Frame pushes and byproduct terms are checked without building Pauli words:
+a push's gate, arity and targets, and a term's wire and letter, directly.
+For the same input it must raise what `conjugate_by` on an identity frame
+and `PauliString.single` raise: the same exception type and message.  The
+one exception is a negative byproduct wire, which a list index would count
+from the end; `_plan` rejects it as out of range.
+
+Malformed hand-built programs, and compiled ones with one instruction
+deleted, duplicated or swapped, end in a `ProgramError` or `CompileError`,
+never in another exception or a silently wrong run.  The mode's primitive
+meter set and the simulator ceiling hold wherever a program runs, and a
+compiled program is planned once.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmarket import algebra, compiler
 from qmarket.algebra import PauliString, conjugate_by
 from qmarket.compiler import (
     ByproductTerm,
+    CompileError,
+    Correct,
     Feedforward,
+    MeasureGInstr,
     MeasurementProgram,
+    MeasurePauliInstr,
+    Prepare,
+    ProgramError,
+    Retire,
+    check_equivalence,
     compile_to_measurements,
     execute,
     parse_circuit,
 )
-from qmarket.statevec import random_state
+from qmarket.statevec import MAX_QUBITS, new_basis_state, random_state
+
+CIRCUITS = {
+    "bell": "qubits 2\nh 0\ncnot 0 1\n",
+    "eight_gate": "qubits 3\nh 0\nt 0\ncnot 0 1\nh 1\nt 2\ncnot 1 2\nh 2\nt 1\n",
+    "ch": "qubits 2\nch 0 1\n",
+}
 
 
 def raised(call):
@@ -63,11 +87,10 @@ def test_byproduct_is_rejected_as_pauli_single_rejects_it(letter, wire, error):
     assert raised(lambda: compiler._plan(program_of(Feedforward(None, (term,))))) == error
 
 
-def test_negative_wire_in_range_counts_from_the_end_as_before():
-    state = random_state(2, np.random.default_rng(1))
-    negative = program_of(Feedforward(None, (ByproductTerm("Xp", -1, ()),)))
-    positive = program_of(Feedforward(None, (ByproductTerm("Xp", 1, ()),)))
-    assert execute(negative, state, 0).frame == execute(positive, state, 0).frame
+def test_negative_byproduct_wire_is_rejected():
+    term = ByproductTerm("Xp", -1, ())
+    error = (IndexError, "list assignment index out of range")
+    assert raised(lambda: compiler._plan(program_of(Feedforward(None, (term,))))) == error
 
 
 def test_plan_builds_no_pauli_words(monkeypatch):
@@ -82,3 +105,122 @@ def test_plan_builds_no_pauli_words(monkeypatch):
     for program in programs:
         compiler._plan(program)
     assert built == []
+
+
+PREPARE = Prepare("a0")
+METER = MeasurePauliInstr(("X",), ("a0",), "m0", "X")
+RETIRE = Retire("a0", None, "X", ("m0",))
+
+
+def extended(n, *instructions):
+    return MeasurementProgram(n, instructions, "extended", ())
+
+
+MALFORMED = {
+    "meter-on-dead-wire": (extended(1, METER), "wire 'a0' is not live"),
+    "g-meter-on-dead-wire": (extended(1, MeasureGInstr("a0", "m0")), "wire 'a0' is not live"),
+    "correct-on-dead-wire": (
+        extended(1, PREPARE, METER, Retire(0, None, "X", ("m0",)), Correct(0, "z")),
+        "wire 0 is not live",
+    ),
+    "retire-dead-wire": (extended(2, Retire("a0", None, "X", ())), "wire 'a0' is not live"),
+    "promote-dead-wire": (
+        extended(1, PREPARE, METER, Retire(0, "a1", "X", ("m0",))), "wire 'a1' is not live"
+    ),
+    "prepare-live-wire": (extended(1, PREPARE, PREPARE), "wire 'a0' is already live"),
+    "meter-letters-and-wires-differ": (
+        extended(1, PREPARE, MeasurePauliInstr(("X", "Xp"), ("a0",), "m0", "XxXp"), RETIRE),
+        "bad meter",
+    ),
+    "register-set-twice": (extended(1, PREPARE, METER, METER, RETIRE), "register 'm0' set twice"),
+    "correct-component": (extended(1, Correct(0, "y")), "bad correct 'y' on wire 0"),
+    "correct-on-ancilla": (
+        extended(1, PREPARE, Correct("a0", "x")), "bad correct 'x' on wire 'a0'"
+    ),
+    "residue-basis": (
+        extended(1, PREPARE, METER, Retire("a0", None, "Z", ("m0",))),
+        "unknown residue basis 'Z'",
+    ),
+    "retire-last-wire": (extended(1, Retire(0, None, "X", ())), "cannot remove the last qubit"),
+    "logical-wire-left-retired": (
+        extended(1, PREPARE, METER, Retire(0, None, "X", ("m0",))),
+        "program finished without all of its logical wires",
+    ),
+    "primitive-set": (MeasurementProgram(1, (), "loose", ()), "unknown primitive set 'loose'"),
+}
+
+
+@pytest.mark.parametrize("program, message", MALFORMED.values(), ids=MALFORMED.keys())
+def test_malformed_program_raises_program_error(program, message):
+    n = program.n_logical
+    with pytest.raises(ProgramError, match=message):
+        execute(program, new_basis_state(n, "0" * n), seed=0)
+
+
+def test_strict_set_is_enforced_where_a_program_runs():
+    program = MeasurementProgram(
+        1,
+        (PREPARE, MeasurePauliInstr(("Xp",), ("a0",), "m0", "Xp"),
+         Retire("a0", None, "Xp", ("m0",))),
+        "strict",
+        (),
+    )
+    message = "strict program measures ('Xp',), outside {X, G, XxX'}"
+    with pytest.raises(CompileError) as info:
+        program.validate_structure()
+    assert str(info.value) == message
+    with pytest.raises(CompileError) as info:
+        execute(program, new_basis_state(1, "0"), seed=0)
+    assert str(info.value) == message
+
+
+def test_ceiling_is_enforced_where_a_program_runs():
+    n = MAX_QUBITS
+    program = extended(n, PREPARE, METER, RETIRE)
+    with pytest.raises(CompileError, match=f"program needs {n + 1} live wires"):
+        execute(program, new_basis_state(n, "0" * n), seed=0)
+
+
+def test_compiled_program_is_planned_once(monkeypatch):
+    circuit = parse_circuit(CIRCUITS["eight_gate"])
+    program = compile_to_measurements(circuit, "strict")
+
+    def replan(_program):
+        raise AssertionError("planned a second time")
+
+    monkeypatch.setattr(compiler, "_plan", replan)
+    assert check_equivalence(circuit, program, trials=4, tol=1e-9).passed
+    execute(program, random_state(3, np.random.default_rng(2)), seed=5)
+    program.validate_structure()
+
+
+COMPILED = [
+    compile_to_measurements(parse_circuit(text), mode)
+    for text in CIRCUITS.values()
+    for mode in ("extended", "strict")
+]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_mutated_program_runs_or_raises_a_program_error(data):
+    """One instruction deleted, duplicated, or swapped with the next: the run
+    returns or raises ProgramError or CompileError, never another exception."""
+    program = data.draw(st.sampled_from(COMPILED))
+    instructions = list(program.instructions)
+    mutation = data.draw(st.sampled_from(["delete", "duplicate", "swap"]))
+    i = data.draw(st.integers(0, len(instructions) - 1 - (mutation == "swap")))
+    if mutation == "delete":
+        del instructions[i]
+    elif mutation == "duplicate":
+        instructions.insert(i, instructions[i])
+    else:
+        instructions[i:i + 2] = instructions[i + 1], instructions[i]
+    mutated = MeasurementProgram(
+        program.n_logical, tuple(instructions), program.primitive_set, program.expansions
+    )
+    state = random_state(program.n_logical, np.random.default_rng(i))
+    try:
+        execute(mutated, state, seed=i)
+    except (ProgramError, CompileError):
+        pass
