@@ -14,7 +14,9 @@ import numpy as np
 
 SQRT2_INV = 1.0 / np.sqrt(2.0)
 
+# A letter's code is its index here, x + 2z: I = 0, X = 1, X' = 2, X'' = 3.
 PAULI_LETTERS = ("I", "X", "Xp", "Xpp")
+_CODES = {letter: code for code, letter in enumerate(PAULI_LETTERS)}
 
 _LETTER_MATRICES = {
     "I": np.eye(2, dtype=complex),
@@ -23,7 +25,8 @@ _LETTER_MATRICES = {
     "Xpp": np.array([[0, -1j], [1j, 0]], dtype=complex),
 }
 
-_PHASES = (1 + 0j, -1 + 0j, 1j, -1j)
+# A phase is stored as its exponent e: phase = i^e = _PHASES[e].
+_PHASES = (1 + 0j, 1j, -1 + 0j, -1j)
 
 _DISPLAY = {"I": "I", "X": "X", "Xp": "X'", "Xpp": "X''"}
 _PHASE_DISPLAY = {1 + 0j: "+", -1 + 0j: "-", 1j: "+i", -1j: "-i"}
@@ -83,32 +86,42 @@ class PauliString:
         return f"{_PHASE_DISPLAY[self.phase]}{word}"
 
 
-# The 4 one-qubit and 16 two-qubit words by dimension, built once for _as_pauli.
+# The 4 one-qubit and 16 two-qubit words by dimension, with their codes, in
+# flat-code order (c0 * 4 + c1 for two letters).
 _WORDS = {
-    2**arity: {
-        letters: PauliString(1 + 0j, letters).to_matrix()
-        for letters in _iterproduct(PAULI_LETTERS, repeat=arity)
-    }
+    2**arity: [
+        (codes, PauliString(1 + 0j, tuple(PAULI_LETTERS[c] for c in codes)).to_matrix())
+        for codes in _iterproduct(range(4), repeat=arity)
+    ]
     for arity in (1, 2)
 }
 
 
-def _as_pauli(matrix: np.ndarray) -> tuple[complex, tuple[str, ...]] | None:
-    """Decompose a one- or two-qubit matrix as phase * word, or None when it
-    is not a phase times a Pauli word."""
+def _as_pauli(matrix: np.ndarray) -> tuple[int, tuple[int, ...]] | None:
+    """Decompose a one- or two-qubit matrix as i^e * word: (e, the word's
+    codes), or None when it is not a phase times a Pauli word."""
     dim = matrix.shape[0]
-    for letters, word in _WORDS[dim].items():
+    for codes, word in _WORDS[dim]:
         coeff = np.trace(word.conj().T @ matrix) / dim
         if abs(abs(coeff) - 1.0) < 1e-9:
-            return min(_PHASES, key=lambda p: abs(p - coeff)), letters
+            return min(range(4), key=lambda e: abs(_PHASES[e] - coeff)), codes
     return None
 
 
-# Single-qubit products a*b -> (phase, (letter,)), e.g. X * Xp = -i Xpp.
-_MUL_TABLE = {
-    (a, b): _as_pauli(_LETTER_MATRICES[a] @ _LETTER_MATRICES[b])
-    for a, b in _iterproduct(PAULI_LETTERS, repeat=2)
-}
+def _table(matrices: list) -> tuple[np.ndarray, np.ndarray]:
+    """(image codes, phase exponents) of `_as_pauli` of each matrix, indexed
+    by flat code; image code -1 where the image is not a Pauli word."""
+    images = [_as_pauli(matrix) for matrix in matrices]
+    codes = np.full((len(images), len(images[0][1])), -1, dtype=np.intp)
+    exponents = np.zeros(len(images), dtype=np.intp)
+    for flat, image in enumerate(images):
+        if image is not None:
+            exponents[flat], codes[flat] = image
+    return codes, exponents
+
+
+# Single-qubit products a * b by flat code a * 4 + b; X * X' = -i X'' is (3,), 3.
+_MUL_CODES, _MUL_EXPONENTS = _table([a @ b for (_, a), (_, b) in _iterproduct(_WORDS[2], repeat=2)])
 
 
 def pauli_mul(a: PauliString, b: PauliString) -> PauliString:
@@ -118,9 +131,9 @@ def pauli_mul(a: PauliString, b: PauliString) -> PauliString:
     phase = a.phase * b.phase
     letters = []
     for la, lb in zip(a.letters, b.letters):
-        ph, word = _MUL_TABLE[(la, lb)]
-        phase *= ph
-        letters += word
+        flat = _CODES[la] * 4 + _CODES[lb]
+        phase *= _PHASES[_MUL_EXPONENTS.item(flat)]
+        letters.append(PAULI_LETTERS[_MUL_CODES.item(flat)])
     return PauliString(phase, tuple(letters))
 
 
@@ -218,15 +231,31 @@ CANONICAL_TACTICS: dict[str, tuple[Strategy, float]] = {
 }
 
 
-# gate -> local word -> (phase, image word) of gate . word . gate^dagger;
-# None where the image leaves the Pauli group (CH on most words).
+# gate -> (image codes, phase exponents) of gate . word . gate^dagger, indexed
+# by the local word's flat code; image code -1 where the image leaves the
+# Pauli group (CH on most words).
 _CONJUGATION = {
-    name: {
-        letters: _as_pauli(_GATES[name] @ word @ _GATES[name].conj().T)
-        for letters, word in _WORDS[_GATES[name].shape[0]].items()
-    }
-    for name in ("H", "G", "CNOT", "CH")
+    name: _table([u @ word @ u.conj().T for _, word in _WORDS[len(u)]])
+    for name, u in _GATES.items() if name in ("H", "G", "CNOT", "CH")
 }
+
+
+def _check_conjugator(gate: str, targets, n: int) -> list[int]:
+    """Check a conjugation by `gate` of an n-qubit word on `targets` (default:
+    the leading qubits), raising TypeError for a target that is not an
+    integer and ValueError for any other fault; return the targets as ints."""
+    if gate not in _CONJUGATION:
+        raise ValueError(f"unsupported conjugator {gate!r}")
+    arity = _CONJUGATION[gate][0].shape[1]
+    if targets is None:
+        targets = list(range(arity))
+    if len(targets) != arity:
+        raise ValueError(f"{gate} conjugates {arity} qubit(s), got targets {targets}")
+    if not all(isinstance(t, (int, np.integer)) for t in targets):
+        raise TypeError(f"conjugator targets must be integers, got {targets}")
+    if len(set(targets)) != arity or any(t < 0 or t >= n for t in targets):
+        raise ValueError(f"bad targets {targets} for {n}-qubit Pauli")
+    return [int(t) for t in targets]
 
 
 def conjugate_by(pauli: PauliString, clifford: str, targets: list[int] | None = None) -> PauliString:
@@ -236,24 +265,18 @@ def conjugate_by(pauli: PauliString, clifford: str, targets: list[int] | None = 
     the leading qubits).  Raises NonPauliResultError when the result leaves
     the Pauli group, which happens for CH on anything but I/X' controls.
     """
-    if clifford not in _CONJUGATION:
-        raise ValueError(f"unsupported conjugator {clifford!r}")
-    arity = 1 if _GATES[clifford].shape[0] == 2 else 2
-    if targets is None:
-        targets = list(range(arity))
-    if len(targets) != arity:
-        raise ValueError(f"{clifford} conjugates {arity} qubit(s), got targets {targets}")
-    if len(set(targets)) != arity or any(t < 0 or t >= pauli.n_qubits for t in targets):
-        raise ValueError(f"bad targets {targets} for {pauli.n_qubits}-qubit Pauli")
-
+    targets = _check_conjugator(clifford, targets, pauli.n_qubits)
     # Conjugation acts only on the support of the gate.
-    image = _CONJUGATION[clifford][tuple(pauli.letters[t] for t in targets)]
-    if image is None:
+    codes, exponents = _CONJUGATION[clifford]
+    flat = 0
+    for t in targets:
+        flat = flat * 4 + _CODES[pauli.letters[t]]
+    image = codes[flat].tolist()
+    if image[0] < 0:
         raise NonPauliResultError(
             f"conjugating {pauli} by {clifford} on {targets} gives a non-Pauli operator"
         )
-    phase, letters = image
     out = list(pauli.letters)
-    for t, letter in zip(targets, letters):
-        out[t] = letter
-    return PauliString(pauli.phase * phase, tuple(out))
+    for t, code in zip(targets, image):
+        out[t] = PAULI_LETTERS[code]
+    return PauliString(pauli.phase * _PHASES[exponents.item(flat)], tuple(out))

@@ -29,19 +29,22 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
 
 import numpy as np
 
 from .algebra import (
+    _CODES,
     _CONJUGATION,
-    _MUL_TABLE,
+    _MUL_CODES,
+    _MUL_EXPONENTS,
+    _PHASES,
+    _check_conjugator,
     PAULI_LETTERS,
     NonPauliResultError,
     PauliString,
     named_gate,
 )
-from .gadgets import GADGETS
+from .gadgets import _XPRIME_METERS, GADGETS
 from .pauliframe import PauliFrame
 from .statevec import (
     MAX_QUBITS,
@@ -403,12 +406,12 @@ def _emit_xprime_meter(b: _Builder, wire: Wire) -> list[str]:
         return [b.measure(("Xp",), (wire,))]
     b.enter()
     b.note("derived_xprime")
-    anc = b.prepare()
-    r_j = b.measure(("X",), (anc,))
-    r_k = b.measure(("X", "Xp"), (anc, wire))
-    b.instructions.append(Retire(anc, None, "X", (r_j,)))
+    on = {"a": b.prepare(), "d": wire}
+    regs = [b.measure(letters, tuple(on[r] for r in roles)) for letters, roles in _XPRIME_METERS]
+    # The ancilla is left in the eigenstate of its first meter.
+    b.instructions.append(Retire(on["a"], None, _XPRIME_METERS[0][0][0], (regs[0],)))
     b.leave()
-    return [r_j, r_k]
+    return regs
 
 
 # Source gate -> (GADGETS kind, expansion tag, Clifford pushed through the frame).
@@ -522,38 +525,13 @@ _RESIDUE_TERMS = {
 }
 _G = named_gate("G")
 
-# A batch's Pauli frame is a (B, n) array of letter codes, the index into
-# PAULI_LETTERS (code = x + 2z: I=0, X=1, X'=2, X''=3), and a (B,) array of
-# phase exponents e (phase = i^e).  Products and Clifford pushes are lookups
-# into arrays read off algebra's own tables, so there is one Pauli algebra.
-_CODE = {letter: code for code, letter in enumerate(PAULI_LETTERS)}
-_EXPONENT = {1 + 0j: 0, 1j: 1, -1 + 0j: 2, -1j: 3}
-_PHASE = (1 + 0j, 1j, -1 + 0j, -1j)
-
-
-def _code_table(images: dict, arity: int) -> tuple[np.ndarray, np.ndarray]:
-    """(image codes, phase exponents) of a word -> (phase, word) | None table,
-    indexed by the word's flat code (c0 * 4 + c1 for two letters); image code
-    -1 marks a None entry."""
-    codes = np.full((4**arity, arity), -1, dtype=np.intp)
-    exponents = np.zeros(4**arity, dtype=np.intp)
-    for flat, word in enumerate(product(PAULI_LETTERS, repeat=arity)):
-        if images[word] is not None:
-            phase, image = images[word]
-            codes[flat] = [_CODE[letter] for letter in image]
-            exponents[flat] = _EXPONENT[phase]
-    return codes, exponents
-
-
-_MUL_CODES, _MUL_EXPONENTS = _code_table(_MUL_TABLE, 2)
-_PUSH_CODES = {
-    gate: _code_table(words, len(next(iter(words)))) for gate, words in _CONJUGATION.items()
-}
+# A batch's Pauli frame is a (B, n) array of letter codes and a (B,) array of
+# phase exponents, in algebra's encoding, updated by indexing algebra's tables.
 
 
 def _frame_word(letters: np.ndarray, exponent) -> PauliString:
     """One row of a batch's frame as a PauliString."""
-    return PauliString(_PHASE[int(exponent) % 4], tuple(PAULI_LETTERS[c] for c in letters))
+    return PauliString(_PHASES[int(exponent) % 4], tuple(PAULI_LETTERS[c] for c in letters))
 
 
 def _multiply(letters, exponents, wire: int, code: int, mask, left: bool) -> None:
@@ -570,7 +548,7 @@ def _multiply(letters, exponents, wire: int, code: int, mask, left: bool) -> Non
 
 def _push(letters, exponents, gate: str, wires: tuple[int, ...]) -> None:
     """Conjugate every frame row through `gate` on `wires`: element <- U element U+."""
-    codes, phase_exponents = _PUSH_CODES[gate]
+    codes, phase_exponents = _CONJUGATION[gate]
     flat = letters[:, wires[0]]
     for wire in wires[1:]:
         flat = flat * 4 + letters[:, wire]
@@ -606,6 +584,8 @@ def _plan(program: MeasurementProgram) -> _Plan:
     if program.primitive_set not in ("extended", "strict"):
         raise ProgramError(f"unknown primitive set {program.primitive_set!r}")
     n = program.n_logical
+    if n < 1:
+        raise ProgramError(f"a program needs at least one logical wire, got {n}")
     strict = program.primitive_set == "strict"
     positions: dict[Wire, int] = {i: i for i in range(n)}
     registers: dict[str, int] = {}
@@ -654,11 +634,13 @@ def _plan(program: MeasurementProgram) -> _Plan:
             meters += 1
             steps.append(step + (registers[ins.register],))
         elif isinstance(ins, Correct):
-            if ins.component not in ("x", "z") or ins.wire not in range(n):
+            if (ins.component not in ("x", "z") or not isinstance(ins.wire, (int, np.integer))
+                    or not 0 <= ins.wire < n):
                 raise ProgramError(f"bad correct {ins.component!r} on wire {ins.wire!r}")
-            bit, letter = (1, "X") if ins.component == "x" else (2, "Xp")
+            letter = "X" if ins.component == "x" else "Xp"
             action = _pauli_slices(1 + width, [(1 + at(ins.wire), letter)])
-            steps.append(("correct", *action, ins.wire, bit, _CODE[letter]))
+            # The letter's code is also its mask: X = 1 is the x bit, X' = 2 the z bit.
+            steps.append(("correct", *action, int(ins.wire), _CODES[letter]))
         elif isinstance(ins, Retire):
             if ins.residue_basis not in _RESIDUE_TERMS:
                 raise ProgramError(f"unknown residue basis {ins.residue_basis!r}")
@@ -682,11 +664,11 @@ def _plan(program: MeasurementProgram) -> _Plan:
         elif isinstance(ins, Feedforward):
             if ins.push is not None:
                 gate, wires = ins.push
-                _check_push(gate, list(wires), n)
-                steps.append(("push", gate, tuple(wires)))
+                steps.append(("push", gate, tuple(_check_conjugator(gate, list(wires), n))))
             for term in ins.byproduct:
                 _check_term(term.wire, term.letter, n)
-                steps.append(("byproduct", _CODE[term.letter], term.wire, slots(term.registers)))
+                code = _CODES[term.letter]
+                steps.append(("byproduct", code, int(term.wire), slots(term.registers)))
         else:
             raise ProgramError(f"unknown instruction {ins!r}")
     if peak > MAX_QUBITS:
@@ -701,18 +683,6 @@ def _plan(program: MeasurementProgram) -> _Plan:
     return _Plan(tuple(steps), tuple(registers), meters, peak, order)
 
 
-def _check_push(gate: str, targets: list, n: int) -> None:
-    """Reject a frame push `conjugate_by` would reject on an n-qubit frame,
-    with its exceptions and messages."""
-    if gate not in _PUSH_CODES:
-        raise ValueError(f"unsupported conjugator {gate!r}")
-    arity = _PUSH_CODES[gate][0].shape[1]
-    if len(targets) != arity:
-        raise ValueError(f"{gate} conjugates {arity} qubit(s), got targets {targets}")
-    if len(set(targets)) != arity or any(t < 0 or t >= n for t in targets):
-        raise ValueError(f"bad targets {targets} for {n}-qubit Pauli")
-
-
 def _check_term(wire, letter: str, n: int) -> None:
     """Reject a byproduct term `PauliString.single(n, wire, letter)` would
     reject, with its exceptions and messages: the wire is an integer and the
@@ -723,7 +693,7 @@ def _check_term(wire, letter: str, n: int) -> None:
         raise TypeError(f"list indices must be integers or slices, not {type(wire).__name__}")
     if not 0 <= wire < n:
         raise IndexError("list assignment index out of range")
-    if letter not in _CODE:
+    if letter not in _CODES:
         raise ValueError(f"unknown Pauli letter {letter!r}")
 
 
@@ -783,8 +753,8 @@ def _run(plan: _Plan, stack: np.ndarray, seeds: list[int]):
             psi = branch.reshape(psi.shape)
             bits[step[-1]] = minus
         elif kind == "correct":
-            _, flip, phases, wire, bit, code = step
-            mask = (letters[:, wire] & bit) != 0
+            _, flip, phases, wire, code = step
+            mask = (letters[:, wire] & code) != 0
             if mask.any():
                 flipped = _act(psi, flip, phases)
                 psi = np.where(mask.reshape((batch,) + (1,) * (psi.ndim - 1)), flipped, psi)
@@ -953,7 +923,7 @@ def check_equivalence(
         for row, codes in enumerate(letters.tolist()):
             word = [(axis, PAULI_LETTERS[code]) for axis, code in enumerate(codes)]
             final = _normalized(states[row]).reshape((2,) * n)
-            corrected = _PHASE[int(exponents[row]) % 4] * _pauli_action(final, word)
+            corrected = _PHASES[int(exponents[row]) % 4] * _pauli_action(final, word)
             overlap = np.vdot(_normalized(reference[row]), _normalized(corrected.reshape(-1)))
             fidelities.append(float(abs(overlap)))
         for slot, outcome_bits in enumerate(bits):

@@ -63,8 +63,10 @@ def program_of(*feedforwards):
         ("CNOT", (1, 1), (ValueError, "bad targets [1, 1] for 2-qubit Pauli")),
         ("H", (2,), (ValueError, "bad targets [2] for 2-qubit Pauli")),
         ("H", (-1,), (ValueError, "bad targets [-1] for 2-qubit Pauli")),
+        ("H", (1.0,), (TypeError, "conjugator targets must be integers, got [1.0]")),
+        ("CNOT", (0, "a0"), (TypeError, "conjugator targets must be integers, got [0, 'a0']")),
     ],
-    ids=["unknown-gate", "arity", "duplicate", "too-high", "negative"],
+    ids=["unknown-gate", "arity", "duplicate", "too-high", "negative", "float", "ancilla-token"],
 )
 def test_push_is_rejected_as_conjugate_by_rejects_it(gate, wires, error):
     assert raised(lambda: conjugate_by(PauliString.identity(2), gate, list(wires))) == error
@@ -78,8 +80,9 @@ def test_push_is_rejected_as_conjugate_by_rejects_it(gate, wires, error):
         ("X", 2, (IndexError, "list assignment index out of range")),
         ("X", -3, (IndexError, "list assignment index out of range")),
         ("X", "a0", (TypeError, "list indices must be integers or slices, not str")),
+        ("X", 1.0, (TypeError, "list indices must be integers or slices, not float")),
     ],
-    ids=["unknown-letter", "too-high", "too-low", "ancilla-token"],
+    ids=["unknown-letter", "too-high", "too-low", "ancilla-token", "float"],
 )
 def test_byproduct_is_rejected_as_pauli_single_rejects_it(letter, wire, error):
     assert raised(lambda: PauliString.single(2, wire, letter)) == error
@@ -91,6 +94,31 @@ def test_negative_byproduct_wire_is_rejected():
     term = ByproductTerm("Xp", -1, ())
     error = (IndexError, "list assignment index out of range")
     assert raised(lambda: compiler._plan(program_of(Feedforward(None, (term,))))) == error
+
+
+X_ON = {wire: Feedforward(None, (ByproductTerm("X", wire, ()),)) for wire in (0, 1)}
+BOOL_WIRE_PROGRAMS = {
+    "correct": lambda w: (X_ON[1], Correct(w, "x")),
+    "byproduct": lambda w: (Feedforward(None, (ByproductTerm("X", w, ()),)),),
+    "push": lambda w: (X_ON[1], Feedforward(("H", (w,)), ())),
+    "push-pair": lambda w: (X_ON[0], Feedforward(("CNOT", (0, w)), ())),
+}
+
+
+@pytest.mark.parametrize("build", BOOL_WIRE_PROGRAMS.values(), ids=BOOL_WIRE_PROGRAMS.keys())
+def test_bool_wire_acts_as_its_integer(build):
+    """`PauliString.single` and `conjugate_by` take True as 1, and so does the plan."""
+    state = random_state(2, np.random.default_rng(3))
+    as_bool = execute(program_of(*build(True)), state, seed=1)
+    as_int = execute(program_of(*build(1)), state, seed=1)
+    assert as_bool.frame == as_int.frame
+    assert as_bool.final_state.amplitudes.tobytes() == as_int.final_state.amplitudes.tobytes()
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_program_without_logical_wires_is_rejected(n):
+    with pytest.raises(ProgramError, match="at least one logical wire"):
+        MeasurementProgram(n, (), "extended", ()).validate_structure()
 
 
 def test_plan_builds_no_pauli_words(monkeypatch):
@@ -134,6 +162,7 @@ MALFORMED = {
     ),
     "register-set-twice": (extended(1, PREPARE, METER, METER, RETIRE), "register 'm0' set twice"),
     "correct-component": (extended(1, Correct(0, "y")), "bad correct 'y' on wire 0"),
+    "correct-on-float-wire": (extended(2, Correct(1.0, "x")), "bad correct 'x' on wire 1.0"),
     "correct-on-ancilla": (
         extended(1, PREPARE, Correct("a0", "x")), "bad correct 'x' on wire 'a0'"
     ),
