@@ -27,7 +27,6 @@ from .compiler import (
     compile_to_measurements,
     parse_circuit,
     simulate_circuit,
-    trial_seed,
 )
 from .gadgets import (
     GADGETS,
@@ -38,6 +37,7 @@ from .gadgets import (
     gadget_sigma_t,
 )
 from .pauliframe import random_walk_cleanup
+from .seeding import trial_generators
 from .statevec import apply_gate, apply_pauli, fidelity, random_state
 
 EXIT_OK = 0
@@ -114,8 +114,7 @@ def cmd_run(args) -> int:
     if circuit is None:
         return code
     lines = []
-    for t in range(args.trials):
-        rng = np.random.default_rng(trial_seed(args.seed, t, 0))
+    for t, rng in enumerate(trial_generators(args.seed, args.trials, 0)):
         state, outcomes = simulate_circuit(circuit, rng=rng)
         lines.append(
             _record(
@@ -238,8 +237,7 @@ def _demo_gadgets(args) -> list[str]:
         if forced is not None and len(forced) != len(spec.meters):
             continue
         passes = 0
-        for t in range(args.trials):
-            rng = np.random.default_rng(trial_seed(args.seed, t, 7))
+        for rng in trial_generators(args.seed, args.trials, 7):
             state = random_state(n_qubits, rng)
             result = run(state, None if forced else rng, forced)
             reference = apply_gate(state, named_gate(spec.target), list(range(n_qubits)))

@@ -27,6 +27,7 @@ are documented in the README.
 from __future__ import annotations
 
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -46,6 +47,7 @@ from .algebra import (
 )
 from .gadgets import _XPRIME_METERS, GADGETS
 from .pauliframe import PauliFrame
+from .seeding import generators, trial_seeds
 from .statevec import (
     MAX_QUBITS,
     ZERO_BRANCH,
@@ -53,7 +55,6 @@ from .statevec import (
     _act,
     _apply_matrix,
     _normalized,
-    _pauli_action,
     _pauli_slices,
     apply_gate,
     measure_pauli,
@@ -534,6 +535,32 @@ def _frame_word(letters: np.ndarray, exponent) -> PauliString:
     return PauliString(_PHASES[int(exponent) % 4], tuple(PAULI_LETTERS[c] for c in letters))
 
 
+_PHASE_VALUES = np.array(_PHASES)
+
+
+def _apply_frames(stack: np.ndarray, letters, exponents) -> np.ndarray:
+    """Every row's frame applied to its row of a (B, 2, ..., 2) stack, which
+    may be overwritten.  Each row gets what `apply_pauli` does to it alone:
+    the axis flips of its X and X'' letters, then per axis in order the X'
+    negation or the two X'' multiplies, then the phase multiply, the same
+    IEEE operations on the same values."""
+    rows = (len(letters),) + (1,) * (stack.ndim - 1)
+    for axis, codes in enumerate(letters.T, start=1):
+        flip = (codes & _CODES["X"]) != 0
+        if flip.any():
+            stack = np.where(flip.reshape(rows), np.flip(stack, axis), stack)
+    for axis, codes in enumerate(letters.T, start=1):
+        before = (slice(None),) * axis
+        low, high = stack[before + (0,)], stack[before + (1,)]
+        negate, rotate = codes == _CODES["Xp"], codes == _CODES["Xpp"]
+        if negate.any():
+            high[negate] = -high[negate]
+        if rotate.any():  # Xpp = i X Xp: |0> -> i|1>, |1> -> -i|0>
+            high[rotate] = 1j * high[rotate]
+            low[rotate] = -1j * low[rotate]
+    return _PHASE_VALUES[exponents % 4].reshape(rows) * stack
+
+
 def _multiply(letters, exponents, wire: int, code: int, mask, left: bool) -> None:
     """Multiply the letter `code` on `wire` into the frame rows where `mask` is
     set: on the left for a byproduct, which acts after the frame, or on the
@@ -594,6 +621,7 @@ def _plan(program: MeasurementProgram) -> _Plan:
     meters = 0
 
     def at(wire) -> int:
+        wire = _wire_key(wire)
         if wire not in positions:
             raise ProgramError(f"wire {wire!r} is not live")
         return positions[wire]
@@ -647,19 +675,20 @@ def _plan(program: MeasurementProgram) -> _Plan:
             residue = slots(ins.residue_registers)
             if width < 2:
                 raise ProgramError("cannot remove the last qubit")
-            pos = at(ins.wire)
-            del positions[ins.wire]
+            retired = _wire_key(ins.wire)
+            pos = at(retired)
+            del positions[retired]
             # The axis order that brings the retired wire next to the batch axis.
             order = (0, 1 + pos, *(a for a in range(1, 1 + width) if a != 1 + pos))
-            steps.append(("retire", order, str(ins.wire), ins.residue_basis, residue))
+            steps.append(("retire", order, str(retired), ins.residue_basis, residue))
             width -= 1
             for wire, p in positions.items():
                 if p > pos:
                     positions[wire] = p - 1
             if ins.promote is not None:
-                if not isinstance(ins.wire, int):
+                if not isinstance(retired, int):
                     raise ProgramError("can only promote into a logical slot")
-                positions[ins.wire] = at(ins.promote)
+                positions[retired] = at(ins.promote)
                 del positions[ins.promote]
         elif isinstance(ins, Feedforward):
             if ins.push is not None:
@@ -683,6 +712,17 @@ def _plan(program: MeasurementProgram) -> _Plan:
     return _Plan(tuple(steps), tuple(registers), meters, peak, order)
 
 
+def _wire_key(wire) -> Wire:
+    """A meter, retire or promote wire as the plan keys it: an ancilla token,
+    or a logical index as an int, so that True is wire 1 and records "1".
+    Any other value, such as the float 1.0, is not a wire."""
+    if isinstance(wire, str):
+        return wire
+    if isinstance(wire, (int, np.integer)):
+        return int(wire)
+    raise ProgramError(f"wire {wire!r} is neither a logical index nor an ancilla token")
+
+
 def _check_term(wire, letter: str, n: int) -> None:
     """Reject a byproduct term `PauliString.single(n, wire, letter)` would
     reject, with its exceptions and messages: the wire is an integer and the
@@ -697,9 +737,10 @@ def _check_term(wire, letter: str, n: int) -> None:
         raise ValueError(f"unknown Pauli letter {letter!r}")
 
 
-def _run(plan: _Plan, stack: np.ndarray, seeds: list[int]):
+def _run(plan: _Plan, stack: np.ndarray, seeds: Sequence[int]):
     """Run a planned program on a (B, 2^n) stack of inputs, row b drawing its
-    outcomes from default_rng(seeds[b]).
+    outcomes from default_rng(seeds[b]): `seeding.generators` derives every
+    row's generator in one pass, with the same streams.
 
     Returns the final states in logical wire order (B, 2^n), the frame letters
     (B, n) and phase exponents (B,; not reduced mod 4), one (B,) bool array of
@@ -710,7 +751,7 @@ def _run(plan: _Plan, stack: np.ndarray, seeds: list[int]):
     psi = stack.reshape((batch,) + (2,) * n)
     # One uniform per meter and trial, the values `random()` would return one
     # at a time; a row's cursor moves only when its branch is stochastic.
-    uniforms = np.array([np.random.default_rng(s).random(plan.meters) for s in seeds])
+    uniforms = np.array([rng.random(plan.meters) for rng in generators(seeds)])
     cursor = np.zeros(batch, dtype=np.intp)
     rows = np.arange(batch)
     bits: list = [None] * len(plan.registers)
@@ -872,8 +913,10 @@ class EquivalenceReport:
 
 
 def trial_seed(base_seed: int, trial: int, stream: int) -> int:
-    """Stable per-trial seed derivation (order-insensitive across trials)."""
-    return int(np.random.SeedSequence((base_seed, trial, stream)).generate_state(1)[0])
+    """Stable per-trial seed derivation (order-insensitive across trials):
+    `np.random.SeedSequence((base_seed, trial, stream)).generate_state(1)[0]`,
+    computed as the batch of one of `seeding.trial_seeds`."""
+    return int(trial_seeds(base_seed, (trial,), (stream,))[0, 0])
 
 
 # check_equivalence runs trials in chunks of at most this many amplitudes per
@@ -910,21 +953,18 @@ def check_equivalence(
     minus_counts = [0] * len(plan.registers)
     for first in range(0, trials, chunk):
         ids = range(first, min(trials, first + chunk))
-        inputs = np.array([
-            random_state(n, np.random.default_rng(trial_seed(base_seed, t, 0))).amplitudes
-            for t in ids
-        ])
-        states, letters, exponents, bits, _ = _run(
-            plan, inputs, [trial_seed(base_seed, t, 1) for t in ids]
-        )
+        # Trial t's inputs draw from default_rng(trial_seed(base_seed, t, 0)),
+        # its meters from default_rng(trial_seed(base_seed, t, 1)).
+        seeds = trial_seeds(base_seed, ids, (0, 1))
+        inputs = np.array([random_state(n, rng).amplitudes for rng in generators(seeds[:, 0])])
+        states, letters, exponents, bits, _ = _run(plan, inputs, seeds[:, 1])
         reference, _ = _simulate(circuit, inputs)
         # fidelity(StateVector(reference), apply_pauli(StateVector(state), frame))
-        # per row, through the same calls without building the wrappers.
-        for row, codes in enumerate(letters.tolist()):
-            word = [(axis, PAULI_LETTERS[code]) for axis, code in enumerate(codes)]
-            final = _normalized(states[row]).reshape((2,) * n)
-            corrected = _PHASES[int(exponents[row]) % 4] * _pauli_action(final, word)
-            overlap = np.vdot(_normalized(reference[row]), _normalized(corrected.reshape(-1)))
+        # per row, through the same operations without building the wrappers.
+        finals = np.array([_normalized(state) for state in states])
+        corrected = _apply_frames(finals.reshape((-1,) + (2,) * n), letters, exponents)
+        for expected, actual in zip(reference, corrected.reshape(len(ids), -1)):
+            overlap = np.vdot(_normalized(expected), _normalized(actual))
             fidelities.append(float(abs(overlap)))
         for slot, outcome_bits in enumerate(bits):
             minus_counts[slot] += int(np.count_nonzero(outcome_bits))

@@ -54,3 +54,17 @@ def test_cli_stdout_bytes(argv, digest, tmp_path, capsys):
     code = main([arg.format(circuit=circuit) for arg in argv])
     assert code == EXIT_OK
     assert sha256(capsys.readouterr().out) == digest
+
+
+@pytest.mark.parametrize(
+    "name, digest",
+    [
+        ("eight_gate", "37e1884448aed55f0bf20928e45e207ffe5f0b46b97d6e342853b07bcdf5667a"),
+        ("ch", "3cea33686b2a0d028054eab64f7bcea9e8c5dc23ec4cddcda55e2f1e8e758bd4"),
+    ],
+)
+def test_run_stdout_bytes(name, digest, tmp_path, capsys):
+    circuit = tmp_path / f"{name}.qc"
+    circuit.write_text(CIRCUITS[name])
+    assert main(["run", str(circuit), "--trials", "5", "--seed", "11"]) == EXIT_OK
+    assert sha256(capsys.readouterr().out) == digest

@@ -253,3 +253,40 @@ def test_mutated_program_runs_or_raises_a_program_error(data):
         execute(mutated, state, seed=i)
     except (ProgramError, CompileError):
         pass
+
+
+# Meter, G meter and retire wires on logical wire 1, given as `wire`.
+WIRE_PROGRAMS = {
+    "meter": lambda w: (MeasurePauliInstr(("X",), (w,), "m0", "X"),),
+    "pair-meter": lambda w: (
+        Prepare("a0"),
+        MeasurePauliInstr(("X",), ("a0",), "m0", "X"),
+        MeasurePauliInstr(("X", "Xp"), ("a0", w), "m1", "XxXp"),
+        Retire("a0", None, "X", ("m0",)),
+    ),
+    "measure_g": lambda w: (MeasureGInstr(w, "m0"),),
+    "retire": lambda w: (Prepare("a0"), Retire(w, "a0", "Xp", ())),
+}
+
+
+@pytest.mark.parametrize("build", WIRE_PROGRAMS.values(), ids=WIRE_PROGRAMS.keys())
+def test_bool_meter_and_retire_wire_act_as_wire_1(build):
+    """True is wire 1 wherever a logical wire is read, and a retire records it as "1"."""
+    state = new_basis_state(2, "00")
+    as_bool = execute(program_of(*build(True)), state, seed=4)
+    as_int = execute(program_of(*build(1)), state, seed=4)
+    assert as_bool.outcomes == as_int.outcomes
+    assert as_bool.ancilla_residues == as_int.ancilla_residues
+    assert as_bool.final_state.amplitudes.tobytes() == as_int.final_state.amplitudes.tobytes()
+
+
+def test_bool_retire_wire_records_its_residue_as_wire_1():
+    record = execute(program_of(*WIRE_PROGRAMS["retire"](True)), new_basis_state(2, "00"), 4)
+    assert record.ancilla_residues == (("1", "0"),)
+
+
+@pytest.mark.parametrize("build", WIRE_PROGRAMS.values(), ids=WIRE_PROGRAMS.keys())
+@pytest.mark.parametrize("wire", [1.0, None, (1,)])
+def test_meter_and_retire_wire_that_is_no_wire_is_rejected(build, wire):
+    with pytest.raises(ProgramError, match="neither a logical index nor an ancilla token"):
+        program_of(*build(wire)).validate_structure()
