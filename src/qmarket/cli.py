@@ -113,17 +113,15 @@ def cmd_run(args) -> int:
     circuit, code = _read_circuit(args.circuit)
     if circuit is None:
         return code
-    lines = []
-    for t, rng in enumerate(trial_generators(args.seed, args.trials, 0)):
-        state, outcomes = simulate_circuit(circuit, rng=rng)
-        lines.append(
-            _record(
-                record="run",
-                trial=t,
-                amplitudes=_amplitude_pairs(state),
-                outcomes=[o.eigenvalue for o in outcomes],
-            )
-        )
+    # A parsed circuit holds only gates, so the simulation draws nothing: it
+    # runs once, and every trial record carries its result.
+    state, outcomes = simulate_circuit(circuit)
+    amplitudes = _amplitude_pairs(state)
+    eigenvalues = [o.eigenvalue for o in outcomes]
+    lines = [
+        _record(record="run", trial=t, amplitudes=amplitudes, outcomes=eigenvalues)
+        for t in range(args.trials)
+    ]
     return _emit(lines, args.out)
 
 

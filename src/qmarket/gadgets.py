@@ -15,11 +15,23 @@ byproduct laws in predicted_byproduct and the compiler's lowering all read it.
 The data wire is consumed (its final meter leaves it in a known eigenstate,
 recorded in ancilla_residue) and the ancilla wire is relabeled into the data
 slot, so callers always see a stable logical index.
+
+A call depends on its input only through the amplitudes: everything else is
+fixed by (kind, input width, targets).  The first call with a given key
+builds a plan from the table (the wire map, each meter's observable and
+action, the retire's axis order and the rotation into the data slot, and
+the byproduct word of every outcome pattern) and caches it; every call runs
+the plan on raw amplitudes.  The derived X' meter runs through the same
+plans and runner.
 """
 from __future__ import annotations
 
+import functools
+import math
+import operator
 from dataclasses import dataclass
 from types import MappingProxyType
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,17 +39,15 @@ from .algebra import PauliString, assert_unitary, named_gate, pauli_mul
 from .statevec import (
     MeasurementOutcome,
     StateVector,
+    _act,
     _apply_matrix,
     _branch,
     _check_involution,
     _check_width,
+    _factor_out,
     _normalized,
-    _pauli_action,
-    append_qubit,
-    apply_gate,
-    measure_pauli,
-    permute_qubits,
-    remove_qubit,
+    _pauli_slices,
+    apply_gate,  # noqa: F401  (unused here; bench/test_smoke.py expects the binding)
 )
 
 SQRT2_INV = 1.0 / np.sqrt(2.0)
@@ -143,10 +153,14 @@ _ANCILLA_STATES = {"0": np.array([1, 0], dtype=complex), "+": PLUS}
 # input once, here, at import.
 _PRE_GATES = {spec.pre: named_gate(spec.pre) for spec in GADGETS.values() if spec.pre}
 _DENSE_METERS = {"G": named_gate("G"), "TdXT": T_CONJUGATED_X}
+# The fixed gates of measure_parity_conjugated and measure_g_via_hghgh.
+_FIXED_GATES = {name: named_gate(name) for name in ("H", "G", "CH")}
 for _gate in _PRE_GATES.values():
     assert_unitary(_gate)
 for _observable in _DENSE_METERS.values():
     _check_involution(_observable)
+for _gate in _FIXED_GATES.values():
+    assert_unitary(_gate)
 
 
 def _byproduct_word(
@@ -166,17 +180,11 @@ def predicted_byproduct(kind: str, outcomes: list[int]) -> PauliString:
     spec = GADGETS[kind]
     if len(outcomes) != len(spec.meters):
         raise ValueError(f"{kind} takes {len(spec.meters)} outcomes, got {len(outcomes)}")
-    for o in outcomes:
-        bit(o)
-    wires = {role: i for i, role in enumerate(spec.roles)}
-    return _byproduct_word(spec, outcomes, wires, len(wires))
-
-
-def _meter(state, letters, wires, rng, force):
-    obs = PauliString.identity(state.n_qubits)
-    for wire, letter in zip(wires, letters):
-        obs = pauli_mul(obs, PauliString.single(state.n_qubits, wire, letter))
-    return measure_pauli(state, obs, rng, force=force)
+    pattern = 0
+    for i, o in enumerate(outcomes):
+        pattern |= bit(o) << i
+    width = len(spec.roles)
+    return _plan(kind, width, tuple(range(width))).byproducts[pattern]
 
 
 def _check_target(state: StateVector, target: int) -> None:
@@ -184,39 +192,126 @@ def _check_target(state: StateVector, target: int) -> None:
         raise ValueError(f"target {target} out of range for {state.n_qubits} qubits")
 
 
-def _run_meters(state, wires, pre, prep, meters, rng, forced):
-    """The pre-gate, the ancilla join on wire n and the meters, on raw amplitudes.
+# X on a |0> ancilla, then X(x)X' on (ancilla, target).
+_XPRIME_METERS = ((("X",), "a"), (("X", "Xp"), "ad"))
+# The derived X' meter as a spec: no byproduct, the ancilla retired (its
+# target is not read: the plan reports the fixed X' label instead).
+_XPRIME_KIND = "xprime_derived"
+_XPRIME = GadgetSpec("0", None, _XPRIME_METERS, "a", (), "I")
+
+
+class _Meter(NamedTuple):
+    """One meter: the observable its outcomes report, and either the
+    `_pauli_slices` of that Pauli word or a dense involution and its wires."""
+
+    observable: PauliString
+    slices: tuple | None
+    matrix: np.ndarray | None = None
+    on: tuple[int, ...] = ()
+
+
+def _pauli_meter(width: int, placed) -> _Meter:
+    """The meter of the Pauli letters `placed`, (wire, letter) pairs."""
+    word = ["I"] * width
+    for wire, letter in placed:
+        word[wire] = letter
+    observable = PauliString.from_letters(*word)
+    return _Meter(observable, _pauli_slices(width, enumerate(observable.letters)))
+
+
+class _Plan(NamedTuple):
+    """Everything a gadget call does that depends only on (kind, input
+    width, targets).  `byproducts[p]` is the byproduct word of the outcome
+    pattern p, whose bit i is b(o_i)."""
+
+    shape: tuple[int, ...]  # the working register's tensor shape, ancilla included
+    pre: tuple[np.ndarray, list[int]] | None
+    ancilla: np.ndarray  # the ancilla's state as a 1 x 2 row
+    meters: tuple[_Meter, ...]
+    retired: int
+    retire_axes: tuple[int, ...]
+    rotation: tuple[int, ...] | None
+    byproducts: tuple[PauliString, ...]
+    label: PauliString | None  # the derived X' meter's reported observable
+
+
+@functools.cache
+def _plan(kind: str, n_qubits: int, targets: tuple[int, ...]) -> _Plan:
+    """The plan of GADGETS[kind] (or the derived X' meter) on `n_qubits`
+    input wires, with `targets` the wires of spec.roles, in order."""
+    spec = _XPRIME if kind == _XPRIME_KIND else GADGETS[kind]
+    width = n_qubits + 1
+    _check_width(width)
+    wires = dict(zip(spec.roles, targets), a=n_qubits)
+    meters = []
+    for letters, roles in spec.meters:
+        on = tuple(wires[role] for role in roles)
+        if letters[0] in _DENSE_METERS:
+            meters.append(_Meter(PauliString.identity(width), None, _DENSE_METERS[letters[0]], on))
+        else:
+            meters.append(_pauli_meter(width, zip(on, letters)))
+    retired = wires[spec.retired]
+    rotation = None
+    if spec.retired != "a":
+        # After removal the ancilla sits at the end; rotate it into the slot.
+        last = n_qubits - 1
+        rotation = (*range(retired), last, *range(retired, last))
+    k = len(spec.meters)
+    byproducts = tuple(
+        _byproduct_word(spec, [-1 if p >> i & 1 else 1 for i in range(k)], wires, n_qubits)
+        for p in range(2**k)
+    )
+    return _Plan(
+        (2,) * width,
+        None if spec.pre is None else (_PRE_GATES[spec.pre], [wires["d"]]),
+        _ANCILLA_STATES[spec.prep][None, :],
+        tuple(meters),
+        retired,
+        (retired, *(w for w in range(width) if w != retired)),
+        rotation,
+        byproducts,
+        PauliString.single(n_qubits, wires["d"], "Xp") if kind == _XPRIME_KIND else None,
+    )
+
+
+def _measure(amps, shape, meter: _Meter, rng, force):
+    """One meter on raw amplitudes: (eigenvalue, probability, branch), the
+    branch rescaled by 1/sqrt(probability)."""
+    tensor = amps.reshape(shape)
+    if meter.matrix is None:
+        acted = meter.observable.phase * _act(tensor, *meter.slices)
+    else:
+        acted = _apply_matrix(tensor[None], meter.matrix, meter.on)
+    eig, prob, branch = _branch(amps, acted.reshape(-1), rng, force)
+    return eig, prob, branch / math.sqrt(prob)
+
+
+def _run(plan: _Plan, state: StateVector, rng, forced):
+    """The pre-gate, the ancilla join, the meters, the retire and the
+    rotation of `plan`, on raw amplitudes.
 
     Every intermediate amplitude array passes StateVector's norm rule: each
-    meter applies it to its input, and the returned (n+1)-wire StateVector,
-    the only state built, to the last meter's branch.  Returns (outcomes,
-    state).
+    meter applies it to its input, then the last meter's branch, the retire
+    and the rotation each pass it once.  Returns (outcomes, post-state,
+    outcome pattern).
     """
-    width = state.n_qubits + 1
-    _check_width(width)
     amps = state.amplitudes
-    if pre is not None:
-        amps = _normalized(_apply_matrix(state.tensor()[None], _PRE_GATES[pre], [wires["d"]]).reshape(-1))
-    ancilla = _ANCILLA_STATES[prep]
-    amps = (amps[:, None] * ancilla[None, :]).reshape(-1)
+    if plan.pre is not None:
+        amps = _normalized(_apply_matrix(state.tensor()[None], *plan.pre).reshape(-1))
+    amps = (amps[:, None] * plan.ancilla).reshape(-1)
     outcomes = []
-    for (letters, roles), force in zip(meters, forced):
-        amps = _normalized(amps)
-        on = [wires[role] for role in roles]
-        tensor = amps.reshape((2,) * width)
-        if letters[0] in _DENSE_METERS:
-            observable = PauliString.identity(width)
-            acted = _apply_matrix(tensor[None], _DENSE_METERS[letters[0]], on)
-        else:
-            word = ["I"] * width
-            for wire, letter in zip(on, letters):
-                word[wire] = letter
-            observable = PauliString.from_letters(*word)
-            acted = observable.phase * _pauli_action(tensor, enumerate(observable.letters))
-        eig, prob, branch = _branch(amps, acted.reshape(-1), rng, force)
-        amps = branch / np.sqrt(prob)
-        outcomes.append(MeasurementOutcome(eig, prob, observable))
-    return outcomes, StateVector(width, amps)
+    pattern = 0
+    for i, (meter, force) in enumerate(zip(plan.meters, forced)):
+        eig, prob, amps = _measure(_normalized(amps), plan.shape, meter, rng, force)
+        outcomes.append(MeasurementOutcome(eig, prob, meter.observable))
+        if eig == -1:
+            pattern |= 1 << i
+    amps = _normalized(amps)
+    pair = amps.reshape(plan.shape).transpose(plan.retire_axes).reshape(2, -1)
+    rest, _removed = _factor_out(pair, plan.retired)
+    if plan.rotation is not None:
+        rest = _normalized(rest).reshape(plan.shape[1:]).transpose(plan.rotation).reshape(-1)
+    return outcomes, StateVector(len(plan.shape) - 1, rest), pattern
 
 
 def _run_gadget(kind, state, targets, rng, forced_outcomes) -> GadgetResult:
@@ -227,19 +322,10 @@ def _run_gadget(kind, state, targets, rng, forced_outcomes) -> GadgetResult:
     if forced_outcomes is not None and len(forced_outcomes) != len(spec.meters):
         raise ValueError(f"{kind} takes exactly {len(spec.meters)} outcomes")
     forced = forced_outcomes or [None] * len(spec.meters)
-    n = state.n_qubits
-    wires = dict(zip(spec.roles, targets), a=n)
-    outcomes, work = _run_meters(state, wires, spec.pre, spec.prep, spec.meters, rng, forced)
-
-    retired = wires[spec.retired]
-    post, _removed = remove_qubit(work, retired)
-    if spec.retired != "a":
-        # After removal the ancilla sits at the end; rotate it into the slot.
-        last = post.n_qubits - 1
-        post = permute_qubits(post, list(range(retired)) + [last] + list(range(retired, last)))
-    eigs = [o.eigenvalue for o in outcomes]
-    byproduct = _byproduct_word(spec, eigs, wires, n)
-    return GadgetResult(tuple(outcomes), byproduct, post, format(bit(eigs[-1]), "b"))
+    plan = _plan(kind, state.n_qubits, tuple(map(operator.index, targets)))
+    outcomes, post, pattern = _run(plan, state, rng, forced)
+    residue = "1" if pattern >> (len(spec.meters) - 1) else "0"
+    return GadgetResult(tuple(outcomes), plan.byproducts[pattern], post, residue)
 
 
 def gadget_sigma_h(
@@ -333,10 +419,6 @@ def gadget_cnot(
     return _run_gadget("cnot", state, (control, target), rng, forced_outcomes)
 
 
-# X on a |0> ancilla, then X(x)X' on (ancilla, target).
-_XPRIME_METERS = ((("X",), "a"), (("X", "Xp"), "ad"))
-
-
 def measure_xprime_derived(
     state: StateVector,
     target: int,
@@ -354,15 +436,9 @@ def measure_xprime_derived(
     if forced_outcomes is not None and len(forced_outcomes) != 2:
         raise ValueError("derived X' takes exactly 2 outcomes")
     forced = forced_outcomes or (None, None)
-    n = state.n_qubits
-    (o1, o2), work = _run_meters(state, {"d": target, "a": n}, None, "0", _XPRIME_METERS, rng, forced)
-    post, _removed = remove_qubit(work, n)
-    reported = MeasurementOutcome(
-        o1.eigenvalue * o2.eigenvalue,
-        o2.probability,
-        PauliString.single(n, target, "Xp"),
-    )
-    return reported, post
+    plan = _plan(_XPRIME_KIND, state.n_qubits, (operator.index(target),))
+    (o1, o2), post, _pattern = _run(plan, state, rng, forced)
+    return MeasurementOutcome(o1.eigenvalue * o2.eigenvalue, o2.probability, plan.label), post
 
 
 def measure_parity_conjugated(
@@ -386,17 +462,16 @@ def measure_parity_conjugated(
     _check_target(state, b)
     if kind not in ("XX", "XpXp"):
         raise ValueError(f"kind must be XX or XpXp, got {kind!r}")
-    h = named_gate("H")
-    conj_wire = b if kind == "XX" else a
-    work = apply_gate(state, h, [conj_wire])
-    outcome, work = _meter(work, ["X", "Xp"], [a, b], rng, force)
-    work = apply_gate(work, h, [conj_wire])
+    n = state.n_qubits
+    shape = (2,) * n
+    h, on = _FIXED_GATES["H"], [b if kind == "XX" else a]
+    amps = _normalized(_apply_matrix(state.tensor()[None], h, on).reshape(-1))
+    eig, prob, amps = _measure(amps, shape, _pauli_meter(n, ((a, "X"), (b, "Xp"))), rng, force)
+    amps = _normalized(amps)
+    post = StateVector(n, _apply_matrix(amps.reshape(shape)[None], h, on).reshape(-1))
     letters = ("X", "X") if kind == "XX" else ("Xp", "Xp")
-    obs = pauli_mul(
-        PauliString.single(state.n_qubits, a, letters[0]),
-        PauliString.single(state.n_qubits, b, letters[1]),
-    )
-    return MeasurementOutcome(outcome.eigenvalue, outcome.probability, obs), work
+    obs = pauli_mul(PauliString.single(n, a, letters[0]), PauliString.single(n, b, letters[1]))
+    return MeasurementOutcome(eig, prob, obs), post
 
 
 def measure_g_via_hghgh(
@@ -418,21 +493,17 @@ def measure_g_via_hghgh(
     _check_target(state, target)
     n = state.n_qubits
     anc = n
-    h = named_gate("H")
-    g = named_gate("G")
-    work = append_qubit(state, "0")
-    work = apply_gate(work, h, [target])
-    work = apply_gate(work, h, [anc])
-    work = apply_gate(work, g, [target])
-    work = apply_gate(work, named_gate("CH"), [anc, target])
-    work = apply_gate(work, h, [anc])
-    work = apply_gate(work, g, [target])
-    work = apply_gate(work, h, [target])
+    width = n + 1
+    _check_width(width)
+    shape = (2,) * width
+    amps = _normalized((state.amplitudes[:, None] * _ANCILLA_STATES["0"][None, :]).reshape(-1))
+    for name, on in (("H", [target]), ("H", [anc]), ("G", [target]), ("CH", [anc, target]),
+                     ("H", [anc]), ("G", [target]), ("H", [target])):
+        amps = _normalized(_apply_matrix(amps.reshape(shape)[None], _FIXED_GATES[name], on).reshape(-1))
     meter_force = None if force is None else -force
-    outcome, work = _meter(work, ["Xp"], [anc], rng, meter_force)
-    post, _removed = remove_qubit(work, anc)
-    reported = MeasurementOutcome(
-        -outcome.eigenvalue, outcome.probability, PauliString.single(n, target, "I")
-    )
-    return reported, post
+    eig, prob, amps = _measure(amps, shape, _pauli_meter(width, ((anc, "Xp"),)), rng, meter_force)
+    amps = _normalized(amps)
+    rest, _removed = _factor_out(np.moveaxis(amps.reshape(shape), anc, 0).reshape(2, -1), anc)
+    reported = MeasurementOutcome(-eig, prob, PauliString.single(n, target, "I"))
+    return reported, StateVector(n, rest)
 

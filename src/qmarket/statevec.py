@@ -6,6 +6,7 @@ operations return fresh StateVector values; nothing mutates in place.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,10 +28,12 @@ def _check_width(n_qubits: int) -> None:
 
 def _norm(amplitudes: np.ndarray):
     """`np.linalg.norm` of a complex array, by the same two dot products
-    over the same memory-order ravel, without its argument handling."""
+    over the same memory-order ravel, without its argument handling.  The
+    square root is IEEE's correctly rounded one, as numpy's is, taken on a
+    Python float."""
     flat = amplitudes.ravel(order="K")
     re, im = flat.real, flat.imag
-    return np.sqrt(re.dot(re) + im.dot(im))
+    return math.sqrt(re.dot(re) + im.dot(im))
 
 
 def _normalized(amplitudes: np.ndarray) -> np.ndarray:
@@ -325,8 +328,18 @@ def remove_qubit(state: StateVector, qubit: int, tol: float = 1e-12) -> tuple[St
         raise ValueError("cannot remove the last qubit")
     if qubit < 0 or qubit >= n:
         raise ValueError(f"qubit {qubit} out of range")
-    tensor = np.moveaxis(state.tensor(), qubit, 0).reshape(2, -1)
-    u, s, vh = np.linalg.svd(tensor, full_matrices=False)
+    rest, removed = _factor_out(np.moveaxis(state.tensor(), qubit, 0).reshape(2, -1), qubit, tol)
+    return StateVector(n - 1, rest), removed
+
+
+def _factor_out(pair: np.ndarray, qubit: int, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+    """Split a 2 x rest matrix, whose rows are the |0> and |1> halves of
+    `qubit`, into (rest, removed): the other wires' amplitudes, not yet put
+    through the norm rule, and the wire's 1-qubit state.
+
+    Raises when the second singular value shows the wire entangled.
+    """
+    u, s, vh = np.linalg.svd(pair, full_matrices=False)
     if s.shape[0] > 1 and s[1] ** 2 > tol:
         raise RuntimeError(
             f"qubit {qubit} is entangled with the rest (residual weight {s[1]**2:.2e})"
@@ -335,7 +348,7 @@ def remove_qubit(state: StateVector, qubit: int, tol: float = 1e-12) -> tuple[St
     rest = s[0] * vh[0, :]
     # Fold the arbitrary SVD phase into the removed wire so `rest` keeps the
     # original global phase as closely as possible; phases are conventional.
-    return StateVector(n - 1, rest), removed
+    return rest, removed
 
 
 def permute_qubits(state: StateVector, order: list[int]) -> StateVector:
