@@ -913,10 +913,9 @@ class EquivalenceReport:
 
 
 def trial_seed(base_seed: int, trial: int, stream: int) -> int:
-    """Stable per-trial seed derivation (order-insensitive across trials):
-    `np.random.SeedSequence((base_seed, trial, stream)).generate_state(1)[0]`,
-    computed as the batch of one of `seeding.trial_seeds`."""
-    return int(trial_seeds(base_seed, (trial,), (stream,))[0, 0])
+    """Stable per-trial seed derivation (order-insensitive across trials);
+    `seeding.trial_seeds` computes the same integers for a batch."""
+    return int(np.random.SeedSequence((base_seed, trial, stream)).generate_state(1)[0])
 
 
 # check_equivalence runs trials in chunks of at most this many amplitudes per

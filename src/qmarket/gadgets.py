@@ -17,12 +17,13 @@ recorded in ancilla_residue) and the ancilla wire is relabeled into the data
 slot, so callers always see a stable logical index.
 
 A call depends on its input only through the amplitudes: everything else is
-fixed by (kind, input width, targets).  The first call with a given key
-builds a plan from the table (the wire map, each meter's observable and
-action, the retire's axis order and the rotation into the data slot, and
-the byproduct word of every outcome pattern) and caches it; every call runs
-the plan on raw amplitudes.  The derived X' meter runs through the same
-plans and runner.
+fixed by its key, (kind, input width, targets) for a gadget.  The first call
+with a given key builds a plan and caches it: a list of steps (gate, ancilla
+join, meter, retire, rotation into the data slot), the observable each meter
+reports and the byproduct word of every outcome pattern.  One runner, _run,
+interprets every plan on raw amplitudes: the gadgets', read from the table,
+and those of the derived X' meter, the conjugated parity meter and the
+interferometric G meter.
 """
 from __future__ import annotations
 
@@ -151,26 +152,13 @@ _ANCILLA_STATES = {"0": np.array([1, 0], dtype=complex), "+": PLUS}
 # The built-in matrices the runner applies without per-call checks.  They
 # pass the checks the public apply_gate and measure_hermitian run on caller
 # input once, here, at import.
-_PRE_GATES = {spec.pre: named_gate(spec.pre) for spec in GADGETS.values() if spec.pre}
 _DENSE_METERS = {"G": named_gate("G"), "TdXT": T_CONJUGATED_X}
-# The fixed gates of measure_parity_conjugated and measure_g_via_hghgh.
-_FIXED_GATES = {name: named_gate(name) for name in ("H", "G", "CH")}
-for _gate in _PRE_GATES.values():
-    assert_unitary(_gate)
+# The gadgets' pre-gate (H) and the fixed gates of the two helper meters.
+_GATES = {name: named_gate(name) for name in ("H", "G", "CH")}
 for _observable in _DENSE_METERS.values():
     _check_involution(_observable)
-for _gate in _FIXED_GATES.values():
+for _gate in _GATES.values():
     assert_unitary(_gate)
-
-
-def _byproduct_word(
-    spec: GadgetSpec, eigenvalues: list[int], wires: dict[str, int], n_qubits: int
-) -> PauliString:
-    word = PauliString.identity(n_qubits)
-    for letter, role, indices in spec.byproduct:
-        if sum(bit(eigenvalues[i]) for i in indices) % 2:
-            word = pauli_mul(word, PauliString.single(n_qubits, wires[role], letter))
-    return word
 
 
 def predicted_byproduct(kind: str, outcomes: list[int]) -> PauliString:
@@ -200,39 +188,32 @@ _XPRIME_KIND = "xprime_derived"
 _XPRIME = GadgetSpec("0", None, _XPRIME_METERS, "a", (), "I")
 
 
-class _Meter(NamedTuple):
-    """One meter: the observable its outcomes report, and either the
-    `_pauli_slices` of that Pauli word or a dense involution and its wires."""
-
-    observable: PauliString
-    slices: tuple | None
-    matrix: np.ndarray | None = None
-    on: tuple[int, ...] = ()
-
-
-def _pauli_meter(width: int, placed) -> _Meter:
-    """The meter of the Pauli letters `placed`, (wire, letter) pairs."""
+def _pauli_meter(width: int, placed) -> tuple[PauliString, tuple]:
+    """The observable and the meter step of the Pauli letters `placed`,
+    (wire, letter) pairs on `width` wires."""
     word = ["I"] * width
     for wire, letter in placed:
         word[wire] = letter
     observable = PauliString.from_letters(*word)
-    return _Meter(observable, _pauli_slices(width, enumerate(observable.letters)))
+    slices = _pauli_slices(width, enumerate(observable.letters))
+    return observable, ("pauli", observable.phase, slices)
 
 
 class _Plan(NamedTuple):
-    """Everything a gadget call does that depends only on (kind, input
-    width, targets).  `byproducts[p]` is the byproduct word of the outcome
-    pattern p, whose bit i is b(o_i)."""
+    """Everything a call does that depends only on its key: the steps `_run`
+    interprets, the observable each meter reports, the byproduct word of
+    each outcome pattern p (whose bit i is b(o_i)), and the label a
+    single-outcome helper reports.
 
-    shape: tuple[int, ...]  # the working register's tensor shape, ancilla included
-    pre: tuple[np.ndarray, list[int]] | None
-    ancilla: np.ndarray  # the ancilla's state as a 1 x 2 row
-    meters: tuple[_Meter, ...]
-    retired: int
-    retire_axes: tuple[int, ...]
-    rotation: tuple[int, ...] | None
-    byproducts: tuple[PauliString, ...]
-    label: PauliString | None  # the derived X' meter's reported observable
+    A step is ("gate", matrix, wires), ("join", ancilla row), a meter
+    ("pauli", phase, slices) or ("dense", involution, wires), ("retire",
+    axis order) or ("rotate", axis order).
+    """
+
+    steps: tuple[tuple, ...]
+    observables: tuple[PauliString, ...]
+    byproducts: tuple[PauliString, ...] = ()
+    label: PauliString | None = None
 
 
 @functools.cache
@@ -243,75 +224,102 @@ def _plan(kind: str, n_qubits: int, targets: tuple[int, ...]) -> _Plan:
     width = n_qubits + 1
     _check_width(width)
     wires = dict(zip(spec.roles, targets), a=n_qubits)
-    meters = []
+    steps = [] if spec.pre is None else [("gate", _GATES[spec.pre], (wires["d"],))]
+    steps.append(("join", _ANCILLA_STATES[spec.prep][None, :]))
+    observables = []
     for letters, roles in spec.meters:
         on = tuple(wires[role] for role in roles)
         if letters[0] in _DENSE_METERS:
-            meters.append(_Meter(PauliString.identity(width), None, _DENSE_METERS[letters[0]], on))
+            observable, meter = PauliString.identity(width), ("dense", _DENSE_METERS[letters[0]], on)
         else:
-            meters.append(_pauli_meter(width, zip(on, letters)))
+            observable, meter = _pauli_meter(width, zip(on, letters))
+        observables.append(observable)
+        steps.append(meter)
     retired = wires[spec.retired]
-    rotation = None
+    steps.append(("retire", (retired, *(w for w in range(width) if w != retired))))
     if spec.retired != "a":
         # After removal the ancilla sits at the end; rotate it into the slot.
         last = n_qubits - 1
-        rotation = (*range(retired), last, *range(retired, last))
-    k = len(spec.meters)
-    byproducts = tuple(
-        _byproduct_word(spec, [-1 if p >> i & 1 else 1 for i in range(k)], wires, n_qubits)
-        for p in range(2**k)
-    )
-    return _Plan(
-        (2,) * width,
-        None if spec.pre is None else (_PRE_GATES[spec.pre], [wires["d"]]),
-        _ANCILLA_STATES[spec.prep][None, :],
-        tuple(meters),
-        retired,
-        (retired, *(w for w in range(width) if w != retired)),
-        rotation,
-        byproducts,
-        PauliString.single(n_qubits, wires["d"], "Xp") if kind == _XPRIME_KIND else None,
-    )
+        steps.append(("rotate", (*range(retired), last, *range(retired, last))))
+    byproducts = []
+    for pattern in range(2 ** len(spec.meters)):
+        word = PauliString.identity(n_qubits)
+        for letter, role, indices in spec.byproduct:
+            if sum(pattern >> i & 1 for i in indices) % 2:
+                word = pauli_mul(word, PauliString.single(n_qubits, wires[role], letter))
+        byproducts.append(word)
+    label = PauliString.single(n_qubits, wires["d"], "Xp") if kind == _XPRIME_KIND else None
+    return _Plan(tuple(steps), tuple(observables), tuple(byproducts), label)
 
 
-def _measure(amps, shape, meter: _Meter, rng, force):
-    """One meter on raw amplitudes: (eigenvalue, probability, branch), the
-    branch rescaled by 1/sqrt(probability)."""
-    tensor = amps.reshape(shape)
-    if meter.matrix is None:
-        acted = meter.observable.phase * _act(tensor, *meter.slices)
-    else:
-        acted = _apply_matrix(tensor[None], meter.matrix, meter.on)
-    eig, prob, branch = _branch(amps, acted.reshape(-1), rng, force)
-    return eig, prob, branch / math.sqrt(prob)
+@functools.cache
+def _parity_plan(n_qubits: int, pair: tuple[int, int], kind: str) -> _Plan:
+    """measure_parity_conjugated's plan: X(x)X' on `pair` between two H gates."""
+    a, b = pair
+    h = ("gate", _GATES["H"], (b if kind == "XX" else a,))
+    observable, meter = _pauli_meter(n_qubits, ((a, "X"), (b, "Xp")))
+    letter = "X" if kind == "XX" else "Xp"
+    label, _meter = _pauli_meter(n_qubits, ((a, letter), (b, letter)))
+    return _Plan((h, meter, h), (observable,), label=label)
+
+
+@functools.cache
+def _g_plan(n_qubits: int, target: int) -> _Plan:
+    """measure_g_via_hghgh's plan: a |0> ancilla, the Hadamard test's gates,
+    X' on the ancilla and its retire."""
+    anc = n_qubits
+    width = n_qubits + 1
+    _check_width(width)
+    gates = (("H", (target,)), ("H", (anc,)), ("G", (target,)), ("CH", (anc, target)),
+             ("H", (anc,)), ("G", (target,)), ("H", (target,)))
+    observable, meter = _pauli_meter(width, ((anc, "Xp"),))
+    steps = (
+        ("join", _ANCILLA_STATES["0"][None, :]),
+        *(("gate", _GATES[name], on) for name, on in gates),
+        meter,
+        ("retire", (anc, *range(anc))),
+    )
+    return _Plan(steps, (observable,), label=PauliString.identity(n_qubits))
 
 
 def _run(plan: _Plan, state: StateVector, rng, forced):
-    """The pre-gate, the ancilla join, the meters, the retire and the
-    rotation of `plan`, on raw amplitudes.
+    """The steps of `plan`, on raw amplitudes.
 
-    Every intermediate amplitude array passes StateVector's norm rule: each
-    meter applies it to its input, then the last meter's branch, the retire
-    and the rotation each pass it once.  Returns (outcomes, post-state,
-    outcome pattern).
+    Every step's result passes StateVector's norm rule once: as the next
+    step's input, and the last step's as the returned StateVector.  A meter
+    rescales its branch by 1/sqrt(probability).  Returns (outcomes,
+    post-state, outcome pattern).
     """
     amps = state.amplitudes
-    if plan.pre is not None:
-        amps = _normalized(_apply_matrix(state.tensor()[None], *plan.pre).reshape(-1))
-    amps = (amps[:, None] * plan.ancilla).reshape(-1)
+    shape = (2,) * state.n_qubits
     outcomes = []
     pattern = 0
-    for i, (meter, force) in enumerate(zip(plan.meters, forced)):
-        eig, prob, amps = _measure(_normalized(amps), plan.shape, meter, rng, force)
-        outcomes.append(MeasurementOutcome(eig, prob, meter.observable))
-        if eig == -1:
-            pattern |= 1 << i
-    amps = _normalized(amps)
-    pair = amps.reshape(plan.shape).transpose(plan.retire_axes).reshape(2, -1)
-    rest, _removed = _factor_out(pair, plan.retired)
-    if plan.rotation is not None:
-        rest = _normalized(rest).reshape(plan.shape[1:]).transpose(plan.rotation).reshape(-1)
-    return outcomes, StateVector(len(plan.shape) - 1, rest), pattern
+    for at, step in enumerate(plan.steps):
+        if at:
+            amps = _normalized(amps)
+        op = step[0]
+        if op == "gate":
+            amps = _apply_matrix(amps.reshape(shape)[None], step[1], step[2]).reshape(-1)
+        elif op == "join":
+            amps = (amps[:, None] * step[1]).reshape(-1)
+            shape += (2,)
+        elif op == "retire":
+            amps = _factor_out(amps.reshape(shape).transpose(step[1]).reshape(2, -1), step[1][0])[0]
+            shape = shape[1:]
+        elif op == "rotate":
+            amps = amps.reshape(shape).transpose(step[1]).reshape(-1)
+        else:
+            i = len(outcomes)
+            if op == "pauli":
+                acted = step[1] * _act(amps.reshape(shape), *step[2])
+            else:
+                acted = _apply_matrix(amps.reshape(shape)[None], step[1], step[2])
+            eig, prob, branch = _branch(amps, acted.reshape(-1), rng, forced[i])
+            amps = branch / math.sqrt(prob)
+            outcomes.append(MeasurementOutcome(eig, prob, plan.observables[i]))
+            if eig == -1:
+                pattern |= 1 << i
+    return outcomes, StateVector(len(shape), amps), pattern
 
 
 def _run_gadget(kind, state, targets, rng, forced_outcomes) -> GadgetResult:
@@ -462,16 +470,9 @@ def measure_parity_conjugated(
     _check_target(state, b)
     if kind not in ("XX", "XpXp"):
         raise ValueError(f"kind must be XX or XpXp, got {kind!r}")
-    n = state.n_qubits
-    shape = (2,) * n
-    h, on = _FIXED_GATES["H"], [b if kind == "XX" else a]
-    amps = _normalized(_apply_matrix(state.tensor()[None], h, on).reshape(-1))
-    eig, prob, amps = _measure(amps, shape, _pauli_meter(n, ((a, "X"), (b, "Xp"))), rng, force)
-    amps = _normalized(amps)
-    post = StateVector(n, _apply_matrix(amps.reshape(shape)[None], h, on).reshape(-1))
-    letters = ("X", "X") if kind == "XX" else ("Xp", "Xp")
-    obs = pauli_mul(PauliString.single(n, a, letters[0]), PauliString.single(n, b, letters[1]))
-    return MeasurementOutcome(eig, prob, obs), post
+    plan = _parity_plan(state.n_qubits, (operator.index(a), operator.index(b)), kind)
+    (outcome,), post, _pattern = _run(plan, state, rng, (force,))
+    return MeasurementOutcome(outcome.eigenvalue, outcome.probability, plan.label), post
 
 
 def measure_g_via_hghgh(
@@ -491,19 +492,6 @@ def measure_g_via_hghgh(
     G eigenspace.
     """
     _check_target(state, target)
-    n = state.n_qubits
-    anc = n
-    width = n + 1
-    _check_width(width)
-    shape = (2,) * width
-    amps = _normalized((state.amplitudes[:, None] * _ANCILLA_STATES["0"][None, :]).reshape(-1))
-    for name, on in (("H", [target]), ("H", [anc]), ("G", [target]), ("CH", [anc, target]),
-                     ("H", [anc]), ("G", [target]), ("H", [target])):
-        amps = _normalized(_apply_matrix(amps.reshape(shape)[None], _FIXED_GATES[name], on).reshape(-1))
-    meter_force = None if force is None else -force
-    eig, prob, amps = _measure(amps, shape, _pauli_meter(width, ((anc, "Xp"),)), rng, meter_force)
-    amps = _normalized(amps)
-    rest, _removed = _factor_out(np.moveaxis(amps.reshape(shape), anc, 0).reshape(2, -1), anc)
-    reported = MeasurementOutcome(-eig, prob, PauliString.single(n, target, "I"))
-    return reported, StateVector(n, rest)
-
+    plan = _g_plan(state.n_qubits, operator.index(target))
+    (outcome,), post, _pattern = _run(plan, state, rng, (None if force is None else -force,))
+    return MeasurementOutcome(-outcome.eigenvalue, outcome.probability, plan.label), post

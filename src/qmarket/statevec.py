@@ -257,22 +257,19 @@ def measure_hermitian(
     targets: list[int],
     rng: np.random.Generator | None,
     force: int | None = None,
-    label: PauliString | None = None,
 ) -> tuple[MeasurementOutcome, StateVector]:
     """Projective measurement of a Hermitian involution given as a dense matrix.
 
     Covers the non-Pauli meters the gadgets need (G and the T-conjugated X).
-    `label` is attached to the returned outcome for reporting.
+    The returned outcome carries the identity word as its observable.
     """
     observable = np.asarray(observable, dtype=complex)
     dim = 2 ** len(targets)
     if observable.shape != (dim, dim):
         raise ValueError(f"observable shape {observable.shape} does not fit targets {targets}")
     _check_involution(observable)
-    if label is None:
-        label = PauliString.identity(state.n_qubits)
     acted = _apply_matrix(state.tensor()[None], observable, targets).reshape(-1)
-    return _project(state, acted, label, rng, force)
+    return _project(state, acted, PauliString.identity(state.n_qubits), rng, force)
 
 
 def _check_involution(observable: np.ndarray) -> None:
@@ -317,7 +314,7 @@ def append_state(state: StateVector, qubit_state: np.ndarray) -> StateVector:
     return StateVector(state.n_qubits + 1, np.kron(state.amplitudes, qubit_state))
 
 
-def remove_qubit(state: StateVector, qubit: int, tol: float = 1e-12) -> tuple[StateVector, np.ndarray]:
+def remove_qubit(state: StateVector, qubit: int) -> tuple[StateVector, np.ndarray]:
     """Factor out a disentangled qubit, returning (rest, removed 1-qubit state).
 
     The wire must be in a pure product state with the rest of the register;
@@ -328,19 +325,20 @@ def remove_qubit(state: StateVector, qubit: int, tol: float = 1e-12) -> tuple[St
         raise ValueError("cannot remove the last qubit")
     if qubit < 0 or qubit >= n:
         raise ValueError(f"qubit {qubit} out of range")
-    rest, removed = _factor_out(np.moveaxis(state.tensor(), qubit, 0).reshape(2, -1), qubit, tol)
+    rest, removed = _factor_out(np.moveaxis(state.tensor(), qubit, 0).reshape(2, -1), qubit)
     return StateVector(n - 1, rest), removed
 
 
-def _factor_out(pair: np.ndarray, qubit: int, tol: float = 1e-12) -> tuple[np.ndarray, np.ndarray]:
+def _factor_out(pair: np.ndarray, qubit: int) -> tuple[np.ndarray, np.ndarray]:
     """Split a 2 x rest matrix, whose rows are the |0> and |1> halves of
     `qubit`, into (rest, removed): the other wires' amplitudes, not yet put
     through the norm rule, and the wire's 1-qubit state.
 
-    Raises when the second singular value shows the wire entangled.
+    Raises when the wire is entangled: its residual weight, the second
+    singular value squared, exceeds 1e-12.
     """
     u, s, vh = np.linalg.svd(pair, full_matrices=False)
-    if s.shape[0] > 1 and s[1] ** 2 > tol:
+    if s.shape[0] > 1 and s[1] ** 2 > 1e-12:
         raise RuntimeError(
             f"qubit {qubit} is entangled with the rest (residual weight {s[1]**2:.2e})"
         )
