@@ -169,12 +169,12 @@ _GATES["CH"] = _controlled(_GATES["H"])
 _GATES["CG"] = _controlled(_GATES["G"])
 
 
-def assert_unitary(matrix: np.ndarray, tol: float = 1e-10) -> None:
+def assert_unitary(matrix: np.ndarray) -> None:
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"matrix must be square, got shape {matrix.shape}")
     identity = np.eye(matrix.shape[0])
-    if not np.allclose(matrix @ matrix.conj().T, identity, atol=tol):
+    if not np.allclose(matrix @ matrix.conj().T, identity, atol=1e-10):
         raise ValueError("matrix is not unitary within tolerance")
 
 
@@ -258,6 +258,47 @@ def _check_conjugator(gate: str, targets, n: int) -> list[int]:
     return [int(t) for t in targets]
 
 
+# A batch's Pauli frame is a (B, n) array of letter codes and a (B,) array of
+# phase exponents (not reduced mod 4), updated in place by indexing the tables.
+
+_PHASE_VALUES = np.array(_PHASES)
+
+
+def _frame_word(letters: np.ndarray, exponent) -> PauliString:
+    """One row of a batch's frame as a PauliString."""
+    return PauliString(_PHASES[int(exponent) % 4], tuple(PAULI_LETTERS[c] for c in letters))
+
+
+def _multiply(letters, exponents, wire: int, code: int, mask, left: bool) -> None:
+    """Multiply the letter `code` on `wire` into the frame rows where `mask` is
+    set: on the left for a byproduct, which acts after the frame, or on the
+    right for a Pauli applied to the state the frame dresses.  Other rows
+    multiply by I (code 0), which leaves them as they are."""
+    factor = mask * code
+    current = letters[:, wire]
+    flat = factor * 4 + current if left else current * 4 + factor
+    letters[:, wire] = _MUL_CODES[flat, 0]
+    exponents += _MUL_EXPONENTS[flat]
+
+
+def _push(letters, exponents, gate: str, wires) -> None:
+    """Conjugate every frame row through `gate` on `wires`: element <- U element U+."""
+    codes, phase_exponents = _CONJUGATION[gate]
+    flat = letters[:, wires[0]]
+    for wire in wires[1:]:
+        flat = flat * 4 + letters[:, wire]
+    image = codes[flat]
+    leaves = image[:, 0] < 0
+    if leaves.any():
+        row = int(np.argmax(leaves))
+        raise NonPauliResultError(
+            f"conjugating {_frame_word(letters[row], exponents[row])} by {gate} on "
+            f"{list(wires)} gives a non-Pauli operator"
+        )
+    letters[:, list(wires)] = image
+    exponents += phase_exponents[flat]
+
+
 def conjugate_by(pauli: PauliString, clifford: str, targets: list[int] | None = None) -> PauliString:
     """Return clifford . pauli . clifford^dagger as a PauliString.
 
@@ -266,17 +307,11 @@ def conjugate_by(pauli: PauliString, clifford: str, targets: list[int] | None = 
     the Pauli group, which happens for CH on anything but I/X' controls.
     """
     targets = _check_conjugator(clifford, targets, pauli.n_qubits)
-    # Conjugation acts only on the support of the gate.
-    codes, exponents = _CONJUGATION[clifford]
-    flat = 0
-    for t in targets:
-        flat = flat * 4 + _CODES[pauli.letters[t]]
-    image = codes[flat].tolist()
-    if image[0] < 0:
-        raise NonPauliResultError(
-            f"conjugating {pauli} by {clifford} on {targets} gives a non-Pauli operator"
-        )
-    out = list(pauli.letters)
-    for t, code in zip(targets, image):
-        out[t] = PAULI_LETTERS[code]
-    return PauliString(pauli.phase * _PHASES[exponents.item(flat)], tuple(out))
+    exponent = _PHASES.index(pauli.phase)
+    letters = np.array([[_CODES[letter] for letter in pauli.letters]], dtype=np.intp)
+    exponents = np.array([exponent], dtype=np.intp)
+    _push(letters, exponents, clifford, targets)
+    # The caller's phase times the table's, as a complex product, so the
+    # result's phase keeps the form (and repr) the caller's phase gives it.
+    image_phase = _PHASES[exponents.item(0) - exponent]
+    return PauliString(pauli.phase * image_phase, tuple(PAULI_LETTERS[c] for c in letters[0]))

@@ -35,13 +35,12 @@ import numpy as np
 
 from .algebra import (
     _CODES,
-    _CONJUGATION,
-    _MUL_CODES,
-    _MUL_EXPONENTS,
-    _PHASES,
+    _PHASE_VALUES,
     _check_conjugator,
+    _frame_word,
+    _multiply,
+    _push,
     PAULI_LETTERS,
-    NonPauliResultError,
     PauliString,
     named_gate,
 )
@@ -526,69 +525,28 @@ _RESIDUE_TERMS = {
 }
 _G = named_gate("G")
 
-# A batch's Pauli frame is a (B, n) array of letter codes and a (B,) array of
-# phase exponents, in algebra's encoding, updated by indexing algebra's tables.
-
-
-def _frame_word(letters: np.ndarray, exponent) -> PauliString:
-    """One row of a batch's frame as a PauliString."""
-    return PauliString(_PHASES[int(exponent) % 4], tuple(PAULI_LETTERS[c] for c in letters))
-
-
-_PHASE_VALUES = np.array(_PHASES)
+def _act_rows(psi: np.ndarray, axis: int, codes) -> np.ndarray:
+    """psi, a (B, 2, ..., 2) stack, with row b's letter codes[b] acting on
+    `axis`; rows whose code is 0 (I) keep their amplitudes."""
+    rows = (len(codes),) + (1,) * (psi.ndim - 1)
+    for code in (1, 2, 3):
+        holds = codes == code
+        if holds.any():
+            acted = _act(psi, *_pauli_slices(psi.ndim, [(axis, PAULI_LETTERS[code])]))
+            psi = np.where(holds.reshape(rows), acted, psi)
+    return psi
 
 
 def _apply_frames(stack: np.ndarray, letters, exponents) -> np.ndarray:
-    """Every row's frame applied to its row of a (B, 2, ..., 2) stack, which
-    may be overwritten.  Each row gets what `apply_pauli` does to it alone:
-    the axis flips of its X and X'' letters, then per axis in order the X'
-    negation or the two X'' multiplies, then the phase multiply, the same
-    IEEE operations on the same values."""
+    """Every row's frame applied to its row of a (B, 2, ..., 2) stack.  Each
+    row gets what `apply_pauli` does to it alone: per axis in order its
+    letter's flip and its X' negation or two X'' multiplies, then the phase
+    multiply.  Flips only move values, so every element meets the same IEEE
+    operations in the same order."""
+    for axis, codes in enumerate(letters.T, start=1):
+        stack = _act_rows(stack, axis, codes)
     rows = (len(letters),) + (1,) * (stack.ndim - 1)
-    for axis, codes in enumerate(letters.T, start=1):
-        flip = (codes & _CODES["X"]) != 0
-        if flip.any():
-            stack = np.where(flip.reshape(rows), np.flip(stack, axis), stack)
-    for axis, codes in enumerate(letters.T, start=1):
-        before = (slice(None),) * axis
-        low, high = stack[before + (0,)], stack[before + (1,)]
-        negate, rotate = codes == _CODES["Xp"], codes == _CODES["Xpp"]
-        if negate.any():
-            high[negate] = -high[negate]
-        if rotate.any():  # Xpp = i X Xp: |0> -> i|1>, |1> -> -i|0>
-            high[rotate] = 1j * high[rotate]
-            low[rotate] = -1j * low[rotate]
     return _PHASE_VALUES[exponents % 4].reshape(rows) * stack
-
-
-def _multiply(letters, exponents, wire: int, code: int, mask, left: bool) -> None:
-    """Multiply the letter `code` on `wire` into the frame rows where `mask` is
-    set: on the left for a byproduct, which acts after the frame, or on the
-    right for a Pauli applied to the state the frame dresses.  Other rows
-    multiply by I (code 0), which leaves them as they are."""
-    factor = mask * code
-    current = letters[:, wire]
-    flat = factor * 4 + current if left else current * 4 + factor
-    letters[:, wire] = _MUL_CODES[flat, 0]
-    exponents += _MUL_EXPONENTS[flat]
-
-
-def _push(letters, exponents, gate: str, wires: tuple[int, ...]) -> None:
-    """Conjugate every frame row through `gate` on `wires`: element <- U element U+."""
-    codes, phase_exponents = _CONJUGATION[gate]
-    flat = letters[:, wires[0]]
-    for wire in wires[1:]:
-        flat = flat * 4 + letters[:, wire]
-    image = codes[flat]
-    leaves = image[:, 0] < 0
-    if leaves.any():
-        row = int(np.argmax(leaves))
-        raise NonPauliResultError(
-            f"conjugating {_frame_word(letters[row], exponents[row])} by {gate} on "
-            f"{list(wires)} gives a non-Pauli operator"
-        )
-    letters[:, list(wires)] = image
-    exponents += phase_exponents[flat]
 
 
 @dataclass(frozen=True)
@@ -665,10 +623,11 @@ def _plan(program: MeasurementProgram) -> _Plan:
             if (ins.component not in ("x", "z") or not isinstance(ins.wire, (int, np.integer))
                     or not 0 <= ins.wire < n):
                 raise ProgramError(f"bad correct {ins.component!r} on wire {ins.wire!r}")
-            letter = "X" if ins.component == "x" else "Xp"
-            action = _pauli_slices(1 + width, [(1 + at(ins.wire), letter)])
-            # The letter's code is also its mask: X = 1 is the x bit, X' = 2 the z bit.
-            steps.append(("correct", *action, int(ins.wire), _CODES[letter]))
+            # In algebra's x + 2z encoding a letter's code is also its mask:
+            # X = 1 is the x bit and X' = 2 the z bit, so the executor tests
+            # the frame's component with `&`.
+            code = _CODES["X" if ins.component == "x" else "Xp"]
+            steps.append(("correct", 1 + at(ins.wire), int(ins.wire), code))
         elif isinstance(ins, Retire):
             if ins.residue_basis not in _RESIDUE_TERMS:
                 raise ProgramError(f"unknown residue basis {ins.residue_basis!r}")
@@ -794,11 +753,10 @@ def _run(plan: _Plan, stack: np.ndarray, seeds: Sequence[int]):
             psi = branch.reshape(psi.shape)
             bits[step[-1]] = minus
         elif kind == "correct":
-            _, flip, phases, wire, code = step
+            _, axis, wire, code = step
             mask = (letters[:, wire] & code) != 0
             if mask.any():
-                flipped = _act(psi, flip, phases)
-                psi = np.where(mask.reshape((batch,) + (1,) * (psi.ndim - 1)), flipped, psi)
+                psi = _act_rows(psi, axis, mask * code)
                 _multiply(letters, exponents, wire, code, mask, left=False)
         elif kind == "retire":
             _, order, wire, basis, registers = step

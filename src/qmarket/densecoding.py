@@ -16,10 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import CANONICAL_TACTICS, PauliString, Strategy, bloch_vector, named_gate, u_z_alpha
+from .algebra import CANONICAL_TACTICS, SQRT2_INV, PauliString, Strategy, bloch_vector, named_gate, u_z_alpha
 from .statevec import StateVector, _apply_matrix, apply_gate, measure_pauli, new_basis_state
-
-SQRT2_INV = 1.0 / np.sqrt(2.0)
 
 # Which two classical bits each tactics label carries.  Any bijection works
 # (the four encoded states are orthogonal); this one reads bit 0 off wire A

@@ -36,7 +36,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .algebra import PauliString, assert_unitary, named_gate, pauli_mul
+from .algebra import SQRT2_INV, PauliString, assert_unitary, named_gate, pauli_mul
 from .statevec import (
     MeasurementOutcome,
     StateVector,
@@ -50,8 +50,6 @@ from .statevec import (
     _pauli_slices,
     apply_gate,  # noqa: F401  (unused here; bench/test_smoke.py expects the binding)
 )
-
-SQRT2_INV = 1.0 / np.sqrt(2.0)
 
 # The meter the sigma_t gadget names "T^-1 X T": (X - X'')/sqrt(2).
 T_CONJUGATED_X = (named_gate("X") - named_gate("Xpp")) * SQRT2_INV
