@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 
@@ -155,6 +156,18 @@ def _corrupt(program: MeasurementProgram) -> MeasurementProgram:
     )
 
 
+def _trial_lines(fidelities) -> list[str]:
+    """`_record(record="trial", id=i, fidelity=_sig(f))` for each fidelity f,
+    formatted in one pass: json writes an int as its repr and a finite float
+    as `float.__repr__`.  A non-finite value, which json writes as NaN or
+    Infinity, goes through `_record` itself."""
+    return [
+        '{"fidelity": %r, "id": %d, "record": "trial"}' % (value, i)
+        if math.isfinite(value) else _record(record="trial", id=i, fidelity=value)
+        for i, value in enumerate(map(_sig, fidelities))
+    ]
+
+
 def cmd_verify(args) -> int:
     circuit, program, code = _compile(args)
     if program is None:
@@ -162,9 +175,7 @@ def cmd_verify(args) -> int:
     if args.corrupt:
         program = _corrupt(program)
     report = check_equivalence(circuit, program, args.trials, args.tol, base_seed=args.seed)
-    lines = []
-    for i, f in enumerate(report.fidelities):
-        lines.append(_record(record="trial", id=i, fidelity=_sig(f)))
+    lines = _trial_lines(report.fidelities)
     lines.append(
         _record(
             record="summary",

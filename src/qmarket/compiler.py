@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -46,19 +46,19 @@ from .algebra import (
 )
 from .gadgets import _XPRIME_METERS, GADGETS
 from .pauliframe import PauliFrame
-from .seeding import generators, trial_seeds
+from .seeding import _words, generators, trial_seeds
 from .statevec import (
     MAX_QUBITS,
     ZERO_BRANCH,
     StateVector,
     _act,
     _apply_matrix,
-    _normalized,
+    _normalized_rows,
     _pauli_slices,
+    _random_rows,
     apply_gate,
     measure_pauli,
     new_basis_state,
-    random_state,
 )
 
 Wire = int | str  # logical index or ancilla token "aN"
@@ -524,6 +524,9 @@ _RESIDUE_TERMS = {
     for basis, e in _RESIDUE_EIGENVECTORS.items()
 }
 _G = named_gate("G")
+# The plan's meters and `_act_rows` place one or two letters on a state, so
+# the slicings they reuse are few; `placed` is a tuple to serve as the key.
+_slices = cache(_pauli_slices)
 
 def _act_rows(psi: np.ndarray, axis: int, codes) -> np.ndarray:
     """psi, a (B, 2, ..., 2) stack, with row b's letter codes[b] acting on
@@ -532,7 +535,7 @@ def _act_rows(psi: np.ndarray, axis: int, codes) -> np.ndarray:
     for code in (1, 2, 3):
         holds = codes == code
         if holds.any():
-            acted = _act(psi, *_pauli_slices(psi.ndim, [(axis, PAULI_LETTERS[code])]))
+            acted = _act(psi, *_slices(psi.ndim, ((axis, PAULI_LETTERS[code]),)))
             psi = np.where(holds.reshape(rows), acted, psi)
     return psi
 
@@ -613,7 +616,7 @@ def _plan(program: MeasurementProgram) -> _Plan:
                 if not len(set(ins.wires)) == len(ins.wires) == len(ins.letters):
                     raise ProgramError(f"bad meter {ins.letters} on {ins.wires}")
                 placed = tuple((1 + at(w), l) for l, w in zip(ins.letters, ins.wires))
-                step = ("measure", *_pauli_slices(1 + width, placed))
+                step = ("measure", *_slices(1 + width, placed))
             if ins.register in registers:
                 raise ProgramError(f"register {ins.register!r} set twice")
             registers[ins.register] = len(registers)
@@ -697,9 +700,15 @@ def _check_term(wire, letter: str, n: int) -> None:
 
 
 def _run(plan: _Plan, stack: np.ndarray, seeds: Sequence[int]):
+    """`_execute` with row b drawing its outcomes from default_rng(seeds[b]):
+    `seeding.generators` derives every row's generator in one pass, with the
+    same streams."""
+    return _execute(plan, stack, generators(seeds))
+
+
+def _execute(plan: _Plan, stack: np.ndarray, rngs: Sequence[np.random.Generator]):
     """Run a planned program on a (B, 2^n) stack of inputs, row b drawing its
-    outcomes from default_rng(seeds[b]): `seeding.generators` derives every
-    row's generator in one pass, with the same streams.
+    outcomes from rngs[b].
 
     Returns the final states in logical wire order (B, 2^n), the frame letters
     (B, n) and phase exponents (B,; not reduced mod 4), one (B,) bool array of
@@ -710,7 +719,7 @@ def _run(plan: _Plan, stack: np.ndarray, seeds: Sequence[int]):
     psi = stack.reshape((batch,) + (2,) * n)
     # One uniform per meter and trial, the values `random()` would return one
     # at a time; a row's cursor moves only when its branch is stochastic.
-    uniforms = np.array([rng.random(plan.meters) for rng in generators(seeds)])
+    uniforms = np.array([rng.random(plan.meters) for rng in rngs])
     cursor = np.zeros(batch, dtype=np.intp)
     rows = np.arange(batch)
     bits: list = [None] * len(plan.registers)
@@ -852,7 +861,11 @@ def execute(program: MeasurementProgram, input_state: StateVector, seed: int) ->
     if input_state.n_qubits != program.n_logical:
         raise ValueError("input state size does not match program")
     plan = program._planned
-    return _record(plan, _run(plan, input_state.amplitudes[None], [seed]), 0, seed)
+    # The seed checks `seeding.generators` makes: default_rng alone would take
+    # None as a request for fresh entropy.
+    _words(seed)
+    run = _execute(plan, input_state.amplitudes[None], [np.random.default_rng(seed)])
+    return _record(plan, run, 0, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -895,7 +908,9 @@ def check_equivalence(
 
     Trials run together, in chunks, through the same executor and reference
     simulation as `execute` and `simulate_circuit`; each trial's fidelity is
-    the one those would give it alone.
+    the one those would give it alone.  Inputs, the norm rule and the overlaps
+    are whole-chunk passes that give every row the floats `random_state`,
+    `StateVector` and `fidelity` give it alone.
     """
     if circuit.n_qubits != program.n_logical:
         raise ValueError("circuit and program qubit counts differ")
@@ -911,18 +926,19 @@ def check_equivalence(
     for first in range(0, trials, chunk):
         ids = range(first, min(trials, first + chunk))
         # Trial t's inputs draw from default_rng(trial_seed(base_seed, t, 0)),
-        # its meters from default_rng(trial_seed(base_seed, t, 1)).
-        seeds = trial_seeds(base_seed, ids, (0, 1))
-        inputs = np.array([random_state(n, rng).amplitudes for rng in generators(seeds[:, 0])])
-        states, letters, exponents, bits, _ = _run(plan, inputs, seeds[:, 1])
+        # its meters from default_rng(trial_seed(base_seed, t, 1)); one hash
+        # derives both, and their generators alternate by trial.
+        rngs = generators(trial_seeds(base_seed, ids, (0, 1)).reshape(-1))
+        inputs = _normalized_rows(_random_rows(n, rngs[0::2]))
+        states, letters, exponents, bits, _ = _execute(plan, inputs, rngs[1::2])
         reference, _ = _simulate(circuit, inputs)
         # fidelity(StateVector(reference), apply_pauli(StateVector(state), frame))
         # per row, through the same operations without building the wrappers.
-        finals = np.array([_normalized(state) for state in states])
+        finals = _normalized_rows(states)
         corrected = _apply_frames(finals.reshape((-1,) + (2,) * n), letters, exponents)
-        for expected, actual in zip(reference, corrected.reshape(len(ids), -1)):
-            overlap = np.vdot(_normalized(expected), _normalized(actual))
-            fidelities.append(float(abs(overlap)))
+        overlaps = np.vecdot(_normalized_rows(reference),
+                             _normalized_rows(corrected.reshape(len(ids), -1)))
+        fidelities.extend(abs(overlap) for overlap in overlaps.tolist())
         for slot, outcome_bits in enumerate(bits):
             minus_counts[slot] += int(np.count_nonzero(outcome_bits))
     failing = [t for t, f in enumerate(fidelities) if f < 1.0 - tol]

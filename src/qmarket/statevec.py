@@ -15,6 +15,8 @@ from .algebra import PauliString, assert_unitary
 
 MAX_QUBITS = 16
 NORM_TOL = 1e-12
+# A norm further than this from 1 is an error, not rounding to rescale away.
+NORM_REJECT = 1e-9
 # Branch probabilities below this are treated as exact zeros and never sampled.
 ZERO_BRANCH = 1e-14
 
@@ -36,15 +38,45 @@ def _norm(amplitudes: np.ndarray):
     return math.sqrt(re.dot(re) + im.dot(im))
 
 
+def _norms(stack: np.ndarray) -> np.ndarray:
+    """`_norm` of every row of a (B, N) complex stack, as the same floats:
+    `np.vecdot` runs the same BLAS dot per row, with the row's strides, as
+    `re.dot(re)` does on the row alone."""
+    re, im = stack.real, stack.imag
+    return np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
+
+
+def _norm_error(norm: float) -> ValueError:
+    """The norm rule's error for a norm more than NORM_REJECT from 1."""
+    return ValueError(f"state norm {norm} too far from 1")
+
+
 def _normalized(amplitudes: np.ndarray) -> np.ndarray:
-    """The norm rule every state passes: reject a norm more than 1e-9 from 1,
-    rescale one more than NORM_TOL from 1, keep the array otherwise."""
+    """The norm rule every state passes: reject a norm more than NORM_REJECT
+    from 1, rescale one more than NORM_TOL from 1, keep the array otherwise."""
     norm = _norm(amplitudes)
-    if abs(norm - 1.0) > 1e-9:
-        raise ValueError(f"state norm {norm} too far from 1")
+    if abs(norm - 1.0) > NORM_REJECT:
+        raise _norm_error(norm)
     if abs(norm - 1.0) > NORM_TOL:
         amplitudes = amplitudes / norm
     return amplitudes
+
+
+def _normalized_rows(stack: np.ndarray) -> np.ndarray:
+    """The norm rule on every row of a (B, N) complex stack, in one pass: the
+    first row `_normalized` would reject raises its error, and the rows it
+    would rescale are rescaled, in a copy, by the same division.  A stack
+    that needs no rescale comes back as it is."""
+    norms = _norms(stack)
+    off = abs(norms - 1.0)
+    rescale = off > NORM_TOL
+    if rescale.any():
+        reject = off > NORM_REJECT
+        if reject.any():
+            raise _norm_error(float(norms[reject.argmax()]))
+        stack = stack.copy()
+        stack[rescale] = stack[rescale] / norms[rescale, None]
+    return stack
 
 
 class StateVector:
@@ -99,8 +131,18 @@ def new_basis_state(n_qubits: int, bits: str) -> StateVector:
 
 
 def random_state(n_qubits: int, rng: np.random.Generator) -> StateVector:
-    vec = rng.normal(size=2**n_qubits) + 1j * rng.normal(size=2**n_qubits)
-    return StateVector(n_qubits, vec / _norm(vec))
+    return StateVector(n_qubits, _random_rows(n_qubits, [rng])[0])
+
+
+def _random_rows(n_qubits: int, rngs) -> np.ndarray:
+    """A (len(rngs), 2^n) stack of Haar-random amplitudes, row b drawn from
+    rngs[b], before the norm rule.  Each generator draws its 2 * 2^n normals
+    at once, the same values as drawing the real parts and then the
+    imaginary parts, and each row is divided by its norm."""
+    size = 2**n_qubits
+    draws = np.array([rng.normal(size=2 * size) for rng in rngs])
+    vec = draws[:, :size] + 1j * draws[:, size:]
+    return vec / _norms(vec)[:, None]
 
 
 def apply_gate(state: StateVector, gate: np.ndarray, targets: list[int]) -> StateVector:
