@@ -29,14 +29,7 @@ from .compiler import (
     parse_circuit,
     simulate_circuit,
 )
-from .gadgets import (
-    GADGETS,
-    gadget_cnot,
-    gadget_sigma,
-    gadget_sigma_g,
-    gadget_sigma_h,
-    gadget_sigma_t,
-)
+from .gadgets import GADGETS, _run_gadget
 from .pauliframe import random_walk_cleanup
 from .seeding import trial_generators
 from .statevec import apply_gate, apply_pauli, fidelity, random_state
@@ -50,18 +43,9 @@ SEED_ENV_VAR = "QMARKET_SEED"
 
 DEMO_NAMES = ("densecoding", "walk", "gadgets")
 
-# demo name -> (GADGETS kind, runner); target, width and arity come from the table.
-_GADGET_DEMOS = {
-    "sigma_h": ("sigma_h", lambda st, rng, forced: gadget_sigma_h(st, 0, rng, forced)),
-    "sigma_h_swapped": ("sigma_h_swapped", lambda st, rng, forced: gadget_sigma_h(st, 0, rng, forced, swapped=True)),
-    "sigma_xx": ("sigma_xx", lambda st, rng, forced: gadget_sigma(st, 0, rng, forced, variant="xx")),
-    "sigma_xpxp": ("sigma_xpxp", lambda st, rng, forced: gadget_sigma(st, 0, rng, forced, variant="xpxp")),
-    "sigma_hsandwich": ("sigma_hsandwich", lambda st, rng, forced: gadget_sigma(st, 0, rng, forced, variant="hsandwich")),
-    "sigma_t_xprime": ("sigma_t", lambda st, rng, forced: gadget_sigma_t(st, 0, rng, forced, variant="xprime_pair")),
-    "sigma_t_gmeter": ("sigma_t_gmeter", lambda st, rng, forced: gadget_sigma_t(st, 0, rng, forced, variant="g_meter")),
-    "sigma_g": ("sigma_g", lambda st, rng, forced: gadget_sigma_g(st, 0, rng, forced)),
-    "cnot": ("cnot", lambda st, rng, forced: gadget_cnot(st, 0, 1, rng, forced)),
-}
+# GADGETS kind -> demo record name, where they differ; the table's order is
+# the demo order, and target, width and arity come from its rows.
+_GADGET_RECORD_NAMES = {"sigma_t": "sigma_t_xprime"}
 
 
 def _sig(x: float) -> float:
@@ -240,22 +224,21 @@ def _demo_walk(args) -> list[str]:
 def _demo_gadgets(args) -> list[str]:
     forced = args.force_outcomes
     lines = []
-    for name, (kind, run) in _GADGET_DEMOS.items():
-        spec = GADGETS[kind]
+    for kind, spec in GADGETS.items():
         n_qubits = len(spec.roles)
         if forced is not None and len(forced) != len(spec.meters):
             continue
         passes = 0
         for rng in trial_generators(args.seed, args.trials, 7):
             state = random_state(n_qubits, rng)
-            result = run(state, None if forced else rng, forced)
+            result = _run_gadget(kind, state, range(n_qubits), None if forced else rng, forced)
             reference = apply_gate(state, named_gate(spec.target), list(range(n_qubits)))
             reference = apply_pauli(reference, result.byproduct)
             passes += fidelity(result.post_state, reference) >= 1.0 - 1e-10
         lines.append(
             _record(
                 record="gadget",
-                kind=name,
+                kind=_GADGET_RECORD_NAMES.get(kind, kind),
                 trials=args.trials,
                 passes=passes,
                 pass_rate=_sig(passes / args.trials),

@@ -44,7 +44,7 @@ from .algebra import (
     PauliString,
     named_gate,
 )
-from .gadgets import _XPRIME_METERS, GADGETS
+from .gadgets import _SPECS, _XPRIME_KIND, GadgetSpec
 from .pauliframe import PauliFrame
 from .seeding import _words, generators, trial_seeds
 from .statevec import (
@@ -400,21 +400,7 @@ class _Builder:
         self._depth -= 1
 
 
-def _emit_xprime_meter(b: _Builder, wire: Wire) -> list[str]:
-    """Measure X' on `wire`; returns the registers whose product is the outcome."""
-    if b.mode == "extended":
-        return [b.measure(("Xp",), (wire,))]
-    b.enter()
-    b.note("derived_xprime")
-    on = {"a": b.prepare(), "d": wire}
-    regs = [b.measure(letters, tuple(on[r] for r in roles)) for letters, roles in _XPRIME_METERS]
-    # The ancilla is left in the eigenstate of its first meter.
-    b.instructions.append(Retire(on["a"], None, _XPRIME_METERS[0][0][0], (regs[0],)))
-    b.leave()
-    return regs
-
-
-# Source gate -> (GADGETS kind, expansion tag, Clifford pushed through the frame).
+# Source gate -> (_SPECS kind, expansion tag, Clifford pushed through the frame).
 _LOWERINGS = {
     "h": ("sigma_h", "sigma_h", "H"),
     "t": ("sigma_t_gmeter", "sigma_t_tail", "H"),
@@ -422,18 +408,16 @@ _LOWERINGS = {
 }
 
 
-def _emit_gadget(b: _Builder, gate: str, targets: tuple[int, ...]) -> None:
-    """Emit the gadget block for `gate`: prepare, meters, retire, feedforward.
+def _emit_block(b: _Builder, spec: GadgetSpec, tag: str, wires: dict[str, Wire]) -> list[list[str]]:
+    """Emit `spec`'s block on `wires` (role -> wire) and return each meter's
+    registers: a strict X' meter is the derived X' block, with two registers.
 
-    A gadget with a pre-gate gets it as its own block, followed by a frame
-    discharge.  For T that block is an H transfer and the tail meters then
-    implement T.H, so the composite is T; the prior frame's X' component must
-    be cleared first because conjugating it through the block would drag a
-    non-Pauli S factor out of T.
+    A pre-gate is its own gadget, followed by a frame discharge.  For T that
+    block is an H transfer and the tail meters then implement T.H, so the
+    composite is T; the prior frame's X' component must be cleared first
+    because conjugating it through the block would drag a non-Pauli S factor
+    out of T.
     """
-    kind, tag, push = _LOWERINGS[gate]
-    spec = GADGETS[kind]
-    wires: dict[str, Wire] = dict(zip(spec.roles, targets))
     b.enter()
     if spec.pre is not None:
         _emit_gadget(b, spec.pre.lower(), (wires["d"],))
@@ -443,20 +427,29 @@ def _emit_gadget(b: _Builder, gate: str, targets: tuple[int, ...]) -> None:
     regs: list[list[str]] = []
     for letters, roles in spec.meters:
         on = tuple(wires[role] for role in roles)
-        if letters == ("Xp",):
-            regs.append(_emit_xprime_meter(b, on[0]))
+        if letters == ("Xp",) and b.mode == "strict":
+            derived = _emit_block(b, _SPECS[_XPRIME_KIND], "derived_xprime", {"d": on[0]})
+            regs.append([reg for meter in derived for reg in meter])
         else:
             regs.append([b.measure(letters, on)])
     promote = None if spec.retired == "a" else wires["a"]
-    b.instructions.append(
-        Retire(wires[spec.retired], promote, spec.meters[-1][0][0], tuple(regs[-1]))
-    )
+    i = spec.residue
+    b.instructions.append(Retire(wires[spec.retired], promote, spec.meters[i][0][0], tuple(regs[i])))
+    b.leave()
+    return regs
+
+
+def _emit_gadget(b: _Builder, gate: str, targets: tuple[int, ...]) -> None:
+    """Emit the gadget block for `gate` and its feedforward."""
+    kind, tag, push = _LOWERINGS[gate]
+    spec = _SPECS[kind]
+    wires: dict[str, Wire] = dict(zip(spec.roles, targets))
+    regs = _emit_block(b, spec, tag, wires)
     terms = tuple(
         ByproductTerm(letter, wires[role], tuple(r for i in indices for r in regs[i]))
         for letter, role, indices in spec.byproduct
     )
     b.instructions.append(Feedforward(push=(push, targets), byproduct=terms))
-    b.leave()
 
 
 def compile_to_measurements(circuit: Circuit, mode: str = "extended") -> MeasurementProgram:

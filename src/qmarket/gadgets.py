@@ -12,7 +12,7 @@ is -1.  Each gadget's ancilla prep, meter sequence, byproduct law and target
 unitary are written once, in the GADGETS table; the gadget functions, the
 byproduct laws in predicted_byproduct and the compiler's lowering all read it.
 
-The data wire is consumed (its final meter leaves it in a known eigenstate,
+The data wire is consumed (its last meter leaves it in a known eigenstate,
 recorded in ancilla_residue) and the ancilla wire is relabeled into the data
 slot, so callers always see a stable logical index.
 
@@ -46,6 +46,7 @@ from .statevec import (
     _check_involution,
     _check_width,
     _factor_out,
+    _force_error,
     _normalized,
     _pauli_slices,
     apply_gate,  # noqa: F401  (unused here; bench/test_smoke.py expects the binding)
@@ -90,9 +91,9 @@ class GadgetSpec:
     fresh ancilla.  A meter is (letters, roles), one letter per role; the
     letters are Pauli letters or a dense involution named in _DENSE_METERS.
     A byproduct term (letter, role, indices) applies `letter` on `role` when
-    the XOR of b(o) over the outcomes at `indices` is 1.  The retired wire's
-    last meter leaves it in a known eigenstate; when the retired wire is not
-    the ancilla, the ancilla takes over its logical slot.
+    the XOR of b(o) over the outcomes at `indices` is 1.  The meter at
+    `residue` leaves the retired wire in a known eigenstate; when the retired
+    wire is not the ancilla, the ancilla takes over its logical slot.
     """
 
     prep: str  # ancilla state: "0" or "+"
@@ -106,6 +107,11 @@ class GadgetSpec:
     def roles(self) -> str:
         """The caller's wires in argument order: control first, then data."""
         return "cd" if any("c" in roles for _letters, roles in self.meters) else "d"
+
+    @functools.cached_property
+    def residue(self) -> int:
+        """The last meter on the retired wire alone, whose eigenstate it keeps."""
+        return max(i for i, (_letters, roles) in enumerate(self.meters) if roles == self.retired)
 
 
 _H_METERS = ((("X",), "a"), (("X", "Xp"), "da"), (("Xp",), "d"))
@@ -180,10 +186,12 @@ def _check_target(state: StateVector, target: int) -> None:
 
 # X on a |0> ancilla, then X(x)X' on (ancilla, target).
 _XPRIME_METERS = ((("X",), "a"), (("X", "Xp"), "ad"))
-# The derived X' meter as a spec: no byproduct, the ancilla retired (its
-# target is not read: the plan reports the fixed X' label instead).
+# Every block the runner and the compiler look up: the public gadgets, and the
+# derived X' meter, with no byproduct and its ancilla retired (its target is
+# not read: the plan reports the fixed X' label instead).
 _XPRIME_KIND = "xprime_derived"
-_XPRIME = GadgetSpec("0", None, _XPRIME_METERS, "a", (), "I")
+_SPECS = MappingProxyType({
+    **GADGETS, _XPRIME_KIND: GadgetSpec("0", None, _XPRIME_METERS, "a", (), "I")})
 
 
 def _pauli_meter(width: int, placed) -> tuple[PauliString, tuple]:
@@ -216,9 +224,9 @@ class _Plan(NamedTuple):
 
 @functools.cache
 def _plan(kind: str, n_qubits: int, targets: tuple[int, ...]) -> _Plan:
-    """The plan of GADGETS[kind] (or the derived X' meter) on `n_qubits`
-    input wires, with `targets` the wires of spec.roles, in order."""
-    spec = _XPRIME if kind == _XPRIME_KIND else GADGETS[kind]
+    """The plan of _SPECS[kind] on `n_qubits` input wires, with `targets` the
+    wires of spec.roles, in order."""
+    spec = _SPECS[kind]
     width = n_qubits + 1
     _check_width(width)
     wires = dict(zip(spec.roles, targets), a=n_qubits)
@@ -321,8 +329,8 @@ def _run(plan: _Plan, state: StateVector, rng, forced):
 
 
 def _run_gadget(kind, state, targets, rng, forced_outcomes) -> GadgetResult:
-    """Run GADGETS[kind] on the logical wires `targets` (in spec.roles order)."""
-    spec = GADGETS[kind]
+    """Run _SPECS[kind] on the logical wires `targets` (in spec.roles order)."""
+    spec = _SPECS[kind]
     for t in targets:
         _check_target(state, t)
     if forced_outcomes is not None and len(forced_outcomes) != len(spec.meters):
@@ -330,7 +338,7 @@ def _run_gadget(kind, state, targets, rng, forced_outcomes) -> GadgetResult:
     forced = forced_outcomes or [None] * len(spec.meters)
     plan = _plan(kind, state.n_qubits, tuple(map(operator.index, targets)))
     outcomes, post, pattern = _run(plan, state, rng, forced)
-    residue = "1" if pattern >> (len(spec.meters) - 1) else "0"
+    residue = "1" if pattern >> spec.residue & 1 else "0"
     return GadgetResult(tuple(outcomes), plan.byproducts[pattern], post, residue)
 
 
@@ -490,6 +498,8 @@ def measure_g_via_hghgh(
     G eigenspace.
     """
     _check_target(state, target)
+    if force is not None and force not in (1, -1):
+        raise _force_error(force)
     plan = _g_plan(state.n_qubits, operator.index(target))
     (outcome,), post, _pattern = _run(plan, state, rng, (None if force is None else -force,))
     return MeasurementOutcome(-outcome.eigenvalue, outcome.probability, plan.label), post

@@ -51,11 +51,16 @@ def _norm_error(norm: float) -> ValueError:
     return ValueError(f"state norm {norm} too far from 1")
 
 
+def _force_error(force) -> ValueError:
+    """The error for a forced outcome that is not +/-1."""
+    return ValueError(f"forced outcome must be +/-1, got {force}")
+
+
 def _normalized(amplitudes: np.ndarray) -> np.ndarray:
     """The norm rule every state passes: reject a norm more than NORM_REJECT
     from 1, rescale one more than NORM_TOL from 1, keep the array otherwise."""
     norm = _norm(amplitudes)
-    if abs(norm - 1.0) > NORM_REJECT:
+    if not abs(norm - 1.0) <= NORM_REJECT:  # a NaN norm fails too
         raise _norm_error(norm)
     if abs(norm - 1.0) > NORM_TOL:
         amplitudes = amplitudes / norm
@@ -69,11 +74,12 @@ def _normalized_rows(stack: np.ndarray) -> np.ndarray:
     that needs no rescale comes back as it is."""
     norms = _norms(stack)
     off = abs(norms - 1.0)
-    rescale = off > NORM_TOL
-    if rescale.any():
-        reject = off > NORM_REJECT
-        if reject.any():
-            raise _norm_error(float(norms[reject.argmax()]))
+    kept = off <= NORM_TOL
+    if not kept.all():
+        allowed = off <= NORM_REJECT  # a NaN norm fails too
+        if not allowed.all():
+            raise _norm_error(float(norms[allowed.argmin()]))
+        rescale = ~kept
         stack = stack.copy()
         stack[rescale] = stack[rescale] / norms[rescale, None]
     return stack
@@ -273,7 +279,7 @@ def _branch(amplitudes, acted, rng, force):
     p_minus = float(np.vdot(minus, minus).real)
     if force is not None:
         if force not in (1, -1):
-            raise ValueError(f"forced outcome must be +/-1, got {force}")
+            raise _force_error(force)
         eig = force
         prob = p_plus if eig == 1 else p_minus
         if prob < ZERO_BRANCH:
