@@ -4,14 +4,16 @@ Circuit text format (line based):
 
     qubits N          # first significant line
     h 0               # then one op per line: gate name + qubit indices
-    cnot 0 1          # gates: h t cnot ch x xp xpp g
+    cnot 0 1          # gates: h t cnot ch x xp xpp g i
     # comments start with '#'; blank lines are ignored
 
-Lowering replaces every gate by a gadget block: a fresh |0> ancilla, a fixed
-meter sequence, a retire step that drops the consumed wire (relabeling the
-surviving wire back to its logical slot), and a feedforward rule that folds
-the outcome-dependent byproduct into the Pauli frame.  Pauli gates never
-measure anything; they are pure frame updates.  T is non-Clifford, so its
+Each gate's arity, reference matrix and lowering are one row of
+`_SOURCE_GATES`, read by the parser, the reference simulation and `_lower`.
+Lowering replaces H, T and CNOT by a gadget block: a fresh |0> ancilla, a
+fixed meter sequence, a retire step that drops the consumed wire (relabeling
+the surviving wire back to its logical slot), and a feedforward rule that
+folds the outcome-dependent byproduct into the Pauli frame.  CH and I are
+sequences of those gates; Pauli gates are pure frame updates.  T is non-Clifford, so its
 block first discharges the frame's demand (X') component on the wire with a
 classically-controlled correction, then runs the {X, XxX', G} tail.
 
@@ -27,9 +29,11 @@ are documented in the README.
 from __future__ import annotations
 
 import json
+import re
 from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cache, cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,18 +67,40 @@ from .statevec import (
 
 Wire = int | str  # logical index or ancilla token "aN"
 
-PARSEABLE_GATES = {"h", "t", "cnot", "ch", "x", "xp", "xpp", "g"}
-_GATE_ARITY = {"h": 1, "t": 1, "x": 1, "xp": 1, "xpp": 1, "g": 1, "i": 1, "cnot": 2, "ch": 2}
-_GATE_NAMES = {
-    "h": "H", "t": "T", "cnot": "CNOT", "ch": "CH",
-    "x": "X", "xp": "Xp", "xpp": "Xpp", "g": "G", "i": "I",
-}
-COMPILABLE_GATES = {"h", "t", "cnot", "ch", "x", "xp", "xpp", "i"}
+
+class _Block(NamedTuple):
+    kind: str  # the `_SPECS` row
+    tag: str  # its `expansions` entry
+    push: str  # the Clifford its feedforward conjugates the frame through
+
+
+class _SourceGate(NamedTuple):
+    arity: int
+    matrix: str  # the `named_gate` the reference simulation applies
+    # a block, a Pauli frame letter, a sequence of other source gates, or
+    # None for a gate that simulates but does not compile
+    lowering: _Block | str | tuple[str, ...] | None
+
 
 # Time-ordered expansion of controlled-H into {T, H, CNOT}; uses
 # CH = (S+ H T+) CX (T H S) with S = T^2, T+ = T^7, S+ = T^6.
-_CH_GATE_SEQUENCE = ["t", "t", "h", "t", "cnot", "t", "t", "t", "t", "t", "t", "t", "h",
-                     "t", "t", "t", "t", "t", "t"]
+_CH_GATE_SEQUENCE = ("t", "t", "h", "t", "cnot", "t", "t", "t", "t", "t", "t", "t", "h",
+                     "t", "t", "t", "t", "t", "t")
+
+# The one map from a circuit gate name to its arity, matrix and lowering.
+_SOURCE_GATES = {
+    "h": _SourceGate(1, "H", _Block("sigma_h", "sigma_h", "H")),
+    "t": _SourceGate(1, "T", _Block("sigma_t_gmeter", "sigma_t_tail", "H")),
+    "cnot": _SourceGate(2, "CNOT", _Block("cnot", "cnot", "CNOT")),
+    "ch": _SourceGate(2, "CH", _CH_GATE_SEQUENCE),
+    "x": _SourceGate(1, "X", "X"),
+    "xp": _SourceGate(1, "Xp", "Xp"),
+    "xpp": _SourceGate(1, "Xpp", "Xpp"),
+    "i": _SourceGate(1, "I", ()),
+    "g": _SourceGate(1, "G", None),
+}
+# A qubit count or index: ASCII digits, with a sign only to name a negative.
+_INTEGER = re.compile(r"-?[0-9]+").fullmatch
 
 
 class ParseError(ValueError):
@@ -130,24 +156,21 @@ def parse_circuit(text: str) -> Circuit:
         if n_qubits is None:
             if parts[0] != "qubits" or len(parts) != 2:
                 raise ParseError("expected header 'qubits N'", line_no)
-            try:
-                n_qubits = int(parts[1])
-            except ValueError:
-                raise ParseError(f"bad qubit count {parts[1]!r}", line_no) from None
+            if not _INTEGER(parts[1]):
+                raise ParseError(f"bad qubit count {parts[1]!r}", line_no)
+            n_qubits = int(parts[1])
             if n_qubits < 1 or n_qubits > MAX_QUBITS:
                 raise ParseError(f"qubit count {n_qubits} out of range 1..{MAX_QUBITS}", line_no)
             continue
         name = parts[0]
-        if name not in PARSEABLE_GATES:
+        if name not in _SOURCE_GATES:
             raise ParseError(f"unknown gate {name!r}", line_no)
-        try:
-            targets = tuple(int(p) for p in parts[1:])
-        except ValueError:
-            raise ParseError(f"bad qubit index in {line!r}", line_no) from None
-        if len(targets) != _GATE_ARITY[name]:
-            raise ParseError(
-                f"{name} takes {_GATE_ARITY[name]} qubit(s), got {len(targets)}", line_no
-            )
+        if not all(map(_INTEGER, parts[1:])):
+            raise ParseError(f"bad qubit index in {line!r}", line_no)
+        targets = tuple(int(p) for p in parts[1:])
+        arity = _SOURCE_GATES[name].arity
+        if len(targets) != arity:
+            raise ParseError(f"{name} takes {arity} qubit(s), got {len(targets)}", line_no)
         if len(set(targets)) != len(targets):
             raise ParseError(f"duplicate qubit in {line!r}", line_no)
         if any(t < 0 or t >= n_qubits for t in targets):
@@ -183,7 +206,7 @@ def _simulate(circuit: Circuit, stack: np.ndarray, rng: np.random.Generator | No
     outcomes = []
     for op in circuit.ops:
         if isinstance(op, GateOp):
-            psi = _apply_matrix(psi, named_gate(_GATE_NAMES[op.name]), list(op.targets))
+            psi = _apply_matrix(psi, named_gate(_SOURCE_GATES[op.name].matrix), list(op.targets))
             continue
         if psi.shape[0] != 1:
             raise ValueError("only gate ops run on a batch of input states")
@@ -320,40 +343,23 @@ class MeasurementProgram:
         return "\n".join(lines) + "\n"
 
 
+_RECORD_KINDS = {
+    Prepare: "prepare", MeasurePauliInstr: "measure", MeasureGInstr: "measure_g",
+    Correct: "correct", Retire: "retire", Feedforward: "feedforward",
+}
+
+
 def _instruction_record(ins: Instruction) -> dict:
+    """An instruction's fields plus its kind, with push and terms as fields."""
+    if type(ins) not in _RECORD_KINDS:
+        raise TypeError(f"unknown instruction {ins!r}")
+    record = {"kind": _RECORD_KINDS[type(ins)], **vars(ins)}
     if isinstance(ins, Prepare):
-        return {"kind": "prepare", "wire": ins.wire, "state": "0"}
-    if isinstance(ins, MeasurePauliInstr):
-        return {
-            "kind": "measure",
-            "letters": list(ins.letters),
-            "wires": list(ins.wires),
-            "register": ins.register,
-            "family": ins.family,
-        }
-    if isinstance(ins, MeasureGInstr):
-        return {"kind": "measure_g", "wire": ins.wire, "register": ins.register,
-                "family": ins.family}
-    if isinstance(ins, Correct):
-        return {"kind": "correct", "wire": ins.wire, "component": ins.component}
-    if isinstance(ins, Retire):
-        return {
-            "kind": "retire",
-            "wire": ins.wire,
-            "promote": ins.promote,
-            "residue_basis": ins.residue_basis,
-            "residue_registers": list(ins.residue_registers),
-        }
-    if isinstance(ins, Feedforward):
-        return {
-            "kind": "feedforward",
-            "push": None if ins.push is None else {"gate": ins.push[0], "wires": list(ins.push[1])},
-            "byproduct": [
-                {"letter": t.letter, "wire": t.wire, "registers": list(t.registers)}
-                for t in ins.byproduct
-            ],
-        }
-    raise TypeError(f"unknown instruction {ins!r}")
+        record["state"] = "0"
+    elif isinstance(ins, Feedforward):
+        record["push"] = None if ins.push is None else {"gate": ins.push[0], "wires": ins.push[1]}
+        record["byproduct"] = [vars(term) for term in ins.byproduct]
+    return record
 
 
 # ---------------------------------------------------------------------------
@@ -361,16 +367,12 @@ def _instruction_record(ins: Instruction) -> dict:
 
 
 class _Builder:
-    MAX_DEPTH = 3
-
-    def __init__(self, n_logical: int, mode: str):
-        self.n_logical = n_logical
+    def __init__(self, mode: str):
         self.mode = mode
         self.instructions: list[Instruction] = []
         self.expansions: list[str] = []
         self._ancillas = 0
         self._registers = 0
-        self._depth = 0
 
     def prepare(self) -> str:
         token = f"a{self._ancillas}"
@@ -388,41 +390,45 @@ class _Builder:
             self.instructions.append(MeasurePauliInstr(letters, wires, reg, family))
         return reg
 
-    def note(self, tag: str) -> None:
-        self.expansions.append(tag)
 
-    def enter(self):
-        self._depth += 1
-        if self._depth > self.MAX_DEPTH:
-            raise RuntimeError(f"expansion depth exceeded bound {self.MAX_DEPTH}")
-
-    def leave(self):
-        self._depth -= 1
-
-
-# Source gate -> (_SPECS kind, expansion tag, Clifford pushed through the frame).
-_LOWERINGS = {
-    "h": ("sigma_h", "sigma_h", "H"),
-    "t": ("sigma_t_gmeter", "sigma_t_tail", "H"),
-    "cnot": ("cnot", "cnot", "CNOT"),
-}
+def _lower(b: _Builder, name: str, targets: tuple[int, ...]) -> None:
+    """Emit source gate `name` on `targets` as its `_SOURCE_GATES` row says:
+    a block and its feedforward, a frame letter, or each gate of a sequence
+    on the last targets that gate takes."""
+    row = _SOURCE_GATES.get(name)
+    if row is None or row.lowering is None:
+        raise CompileError(f"gate {name!r} is not in the compilable set")
+    lowering = row.lowering
+    if isinstance(lowering, _Block):
+        spec = _SPECS[lowering.kind]
+        wires: dict[str, Wire] = dict(zip(spec.roles, targets))
+        regs = _emit_block(b, spec, lowering.tag, wires)
+        terms = tuple(
+            ByproductTerm(letter, wires[role], tuple(r for i in indices for r in regs[i]))
+            for letter, role, indices in spec.byproduct
+        )
+        b.instructions.append(Feedforward(push=(lowering.push, targets), byproduct=terms))
+    elif isinstance(lowering, str):
+        b.instructions.append(Feedforward(None, (ByproductTerm(lowering, targets[0], ()),)))
+    else:
+        for part in lowering:
+            _lower(b, part, targets[-_SOURCE_GATES[part].arity:])
 
 
 def _emit_block(b: _Builder, spec: GadgetSpec, tag: str, wires: dict[str, Wire]) -> list[list[str]]:
     """Emit `spec`'s block on `wires` (role -> wire) and return each meter's
     registers: a strict X' meter is the derived X' block, with two registers.
 
-    A pre-gate is its own gadget, followed by a frame discharge.  For T that
-    block is an H transfer and the tail meters then implement T.H, so the
-    composite is T; the prior frame's X' component must be cleared first
-    because conjugating it through the block would drag a non-Pauli S factor
-    out of T.
+    A pre-gate is lowered as its own source gate, followed by a frame
+    discharge.  For T that gate is H and the tail meters then implement T.H,
+    so the composite is T; the prior frame's X' component must be cleared
+    first because conjugating it through the block would drag a non-Pauli S
+    factor out of T.
     """
-    b.enter()
     if spec.pre is not None:
-        _emit_gadget(b, spec.pre.lower(), (wires["d"],))
+        _lower(b, spec.pre.lower(), (wires["d"],))
         b.instructions.append(Correct(wires["d"], "z"))
-    b.note(tag)
+    b.expansions.append(tag)
     wires["a"] = b.prepare()
     regs: list[list[str]] = []
     for letters, roles in spec.meters:
@@ -435,43 +441,18 @@ def _emit_block(b: _Builder, spec: GadgetSpec, tag: str, wires: dict[str, Wire])
     promote = None if spec.retired == "a" else wires["a"]
     i = spec.residue
     b.instructions.append(Retire(wires[spec.retired], promote, spec.meters[i][0][0], tuple(regs[i])))
-    b.leave()
     return regs
 
 
-def _emit_gadget(b: _Builder, gate: str, targets: tuple[int, ...]) -> None:
-    """Emit the gadget block for `gate` and its feedforward."""
-    kind, tag, push = _LOWERINGS[gate]
-    spec = _SPECS[kind]
-    wires: dict[str, Wire] = dict(zip(spec.roles, targets))
-    regs = _emit_block(b, spec, tag, wires)
-    terms = tuple(
-        ByproductTerm(letter, wires[role], tuple(r for i in indices for r in regs[i]))
-        for letter, role, indices in spec.byproduct
-    )
-    b.instructions.append(Feedforward(push=(push, targets), byproduct=terms))
-
-
 def compile_to_measurements(circuit: Circuit, mode: str = "extended") -> MeasurementProgram:
-    """Lower a {H, T, CNOT, Pauli, CH} circuit to a measurement-only program."""
+    """Lower a circuit of compilable `_SOURCE_GATES` to a measurement-only program."""
     if mode not in ("extended", "strict"):
         raise ValueError(f"mode must be 'extended' or 'strict', got {mode!r}")
-    b = _Builder(circuit.n_qubits, mode)
+    b = _Builder(mode)
     for op in circuit.ops:
         if not isinstance(op, GateOp):
             raise CompileError("only unitary gate circuits are compilable")
-        if op.name not in COMPILABLE_GATES:
-            raise CompileError(f"gate {op.name!r} is not in the compilable set")
-        if op.name in _LOWERINGS:
-            _emit_gadget(b, op.name, op.targets)
-        elif op.name == "ch":
-            for gate in _CH_GATE_SEQUENCE:
-                _emit_gadget(b, gate, op.targets if gate == "cnot" else op.targets[1:])
-        elif op.name in ("x", "xp", "xpp"):
-            b.instructions.append(
-                Feedforward(None, (ByproductTerm(_GATE_NAMES[op.name], op.targets[0], ()),))
-            )
-        # "i": nothing to emit
+        _lower(b, op.name, op.targets)
     program = MeasurementProgram(
         circuit.n_qubits, tuple(b.instructions), mode, tuple(b.expansions)
     )

@@ -280,7 +280,7 @@ def _branch(amplitudes, acted, rng, force):
     if force is not None:
         if force not in (1, -1):
             raise _force_error(force)
-        eig = force
+        eig = 1 if force == 1 else -1
         prob = p_plus if eig == 1 else p_minus
         if prob < ZERO_BRANCH:
             raise ValueError(f"forced outcome {force} has probability {prob} ~ 0")

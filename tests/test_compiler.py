@@ -12,7 +12,6 @@ from qmarket.compiler import (
     Prepare,
     ProgramError,
     Retire,
-    _Builder,
     check_equivalence,
     compile_to_measurements,
     execute,
@@ -273,15 +272,6 @@ def test_program_serialization_roundtrip_fields():
     assert header["primitive_set"] == "strict"
     kinds = {json.loads(line)["kind"] for line in lines[1:]}
     assert kinds == {"prepare", "measure", "measure_g", "correct", "retire", "feedforward"}
-
-
-def test_expansion_depth_guard():
-    builder = _Builder(1, "strict")
-    builder.enter()
-    builder.enter()
-    builder.enter()
-    with pytest.raises(RuntimeError):
-        builder.enter()
 
 
 def test_random_circuits_both_modes(rng):
