@@ -169,12 +169,18 @@ _GATES["CH"] = _controlled(_GATES["H"])
 _GATES["CG"] = _controlled(_GATES["G"])
 
 
+def _near_identity(product: np.ndarray) -> bool:
+    """`np.allclose(product, I, atol=1e-10)` for a square `product`, written
+    out: I is finite, so a NaN or infinite entry fails here as it does there."""
+    identity = np.eye(product.shape[0])
+    return bool((abs(product - identity) <= 1e-10 + 1e-05 * abs(identity)).all())
+
+
 def assert_unitary(matrix: np.ndarray) -> None:
     matrix = np.asarray(matrix, dtype=complex)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"matrix must be square, got shape {matrix.shape}")
-    identity = np.eye(matrix.shape[0])
-    if not np.allclose(matrix @ matrix.conj().T, identity, atol=1e-10):
+    if not _near_identity(matrix @ matrix.conj().T):
         raise ValueError("matrix is not unitary within tolerance")
 
 

@@ -32,7 +32,7 @@ import json
 import re
 from collections.abc import Sequence
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cached_property, partial
 from typing import NamedTuple
 
 import numpy as np
@@ -168,17 +168,34 @@ def parse_circuit(text: str) -> Circuit:
         if not all(map(_INTEGER, parts[1:])):
             raise ParseError(f"bad qubit index in {line!r}", line_no)
         targets = tuple(int(p) for p in parts[1:])
-        arity = _SOURCE_GATES[name].arity
-        if len(targets) != arity:
-            raise ParseError(f"{name} takes {arity} qubit(s), got {len(targets)}", line_no)
-        if len(set(targets)) != len(targets):
-            raise ParseError(f"duplicate qubit in {line!r}", line_no)
-        if any(t < 0 or t >= n_qubits for t in targets):
-            raise ParseError(f"qubit index out of range in {line!r}", line_no)
+        _check_targets(name, targets, n_qubits, line, partial(ParseError, line=line_no))
         ops.append(GateOp(name, targets))
     if n_qubits is None:
         raise ParseError("empty circuit: missing 'qubits N' header", 1)
     return Circuit(n_qubits, tuple(ops))
+
+
+def _check_targets(name: str, targets, n_qubits: int, where, error) -> None:
+    """Raise `error(message)` unless `targets` are as many distinct wires of
+    `n_qubits` as the `_SOURCE_GATES` row `name` takes; the message shows the
+    repr of `where`, the offending line or op."""
+    arity = _SOURCE_GATES[name].arity
+    if len(targets) != arity:
+        raise error(f"{name} takes {arity} qubit(s), got {len(targets)}")
+    if len(set(targets)) != len(targets):
+        raise error(f"duplicate qubit in {where!r}")
+    if any(t < 0 or t >= n_qubits for t in targets):
+        raise error(f"qubit index out of range in {where!r}")
+
+
+def _check_gate_ops(circuit: Circuit) -> None:
+    """The parser's checks, as ValueError, on every gate op of a circuit that
+    may have been built without it."""
+    for op in circuit.ops:
+        if isinstance(op, GateOp):
+            if op.name not in _SOURCE_GATES:
+                raise ValueError(f"unknown gate {op.name!r}")
+            _check_targets(op.name, op.targets, circuit.n_qubits, op, ValueError)
 
 
 def simulate_circuit(
@@ -190,6 +207,7 @@ def simulate_circuit(
     state = input_state or new_basis_state(circuit.n_qubits, "0" * circuit.n_qubits)
     if state.n_qubits != circuit.n_qubits:
         raise ValueError("input state size does not match circuit")
+    _check_gate_ops(circuit)
     amplitudes, outcomes = _simulate(circuit, state.amplitudes[None], rng)
     return StateVector(circuit.n_qubits, amplitudes[0]), outcomes
 
@@ -452,6 +470,8 @@ def compile_to_measurements(circuit: Circuit, mode: str = "extended") -> Measure
     for op in circuit.ops:
         if not isinstance(op, GateOp):
             raise CompileError("only unitary gate circuits are compilable")
+        if op.name in _SOURCE_GATES:  # `_lower` rejects any other name
+            _check_targets(op.name, op.targets, circuit.n_qubits, op, CompileError)
         _lower(b, op.name, op.targets)
     program = MeasurementProgram(
         circuit.n_qubits, tuple(b.instructions), mode, tuple(b.expansions)
@@ -498,9 +518,7 @@ _RESIDUE_TERMS = {
     for basis, e in _RESIDUE_EIGENVECTORS.items()
 }
 _G = named_gate("G")
-# The plan's meters and `_act_rows` place one or two letters on a state, so
-# the slicings they reuse are few; `placed` is a tuple to serve as the key.
-_slices = cache(_pauli_slices)
+
 
 def _act_rows(psi: np.ndarray, axis: int, codes) -> np.ndarray:
     """psi, a (B, 2, ..., 2) stack, with row b's letter codes[b] acting on
@@ -509,7 +527,7 @@ def _act_rows(psi: np.ndarray, axis: int, codes) -> np.ndarray:
     for code in (1, 2, 3):
         holds = codes == code
         if holds.any():
-            acted = _act(psi, *_slices(psi.ndim, ((axis, PAULI_LETTERS[code]),)))
+            acted = _act(psi, *_pauli_slices(psi.ndim, ((axis, PAULI_LETTERS[code]),)))
             psi = np.where(holds.reshape(rows), acted, psi)
     return psi
 
@@ -590,7 +608,7 @@ def _plan(program: MeasurementProgram) -> _Plan:
                 if not len(set(ins.wires)) == len(ins.wires) == len(ins.letters):
                     raise ProgramError(f"bad meter {ins.letters} on {ins.wires}")
                 placed = tuple((1 + at(w), l) for l, w in zip(ins.letters, ins.wires))
-                step = ("measure", *_slices(1 + width, placed))
+                step = ("measure", *_pauli_slices(1 + width, placed))
             if ins.register in registers:
                 raise ProgramError(f"register {ins.register!r} set twice")
             registers[ins.register] = len(registers)
@@ -892,6 +910,7 @@ def check_equivalence(
         raise ValueError(f"trials must be >= 1, got {trials}")
     if not 0 < tol < 1:
         raise ValueError(f"tol must be in (0, 1), got {tol}")
+    _check_gate_ops(circuit)
     plan = program._planned
     n = circuit.n_qubits
     chunk = max(1, _CHUNK_AMPLITUDES >> plan.peak)

@@ -48,6 +48,11 @@ _CNOT = named_gate("CNOT")
 _PAIR = apply_gate(apply_gate(new_basis_state(2, "00"), named_gate("H"), [1]), _CNOT, [1, 0])
 
 
+# The read-out meters: X on wire A, X' on wire B.
+_READ_A = PauliString.from_letters("X", "I")
+_READ_B = PauliString.from_letters("I", "Xp")
+
+
 def dealer_state(s: Strategy, alpha: float) -> StateVector:
     """Output of the dealer circuit: CNOT_B->A, U_{z,alpha} on A, CNOT_A->B."""
     state = apply_gate(_PAIR, u_z_alpha(s, alpha), [0])
@@ -94,8 +99,8 @@ def encode_decode(bits: tuple[int, int], rng: np.random.Generator):
     label = BITS_TO_TACTICS[bits]
     s, alpha = CANONICAL_TACTICS[label]
     encoded = dealer_state(s, alpha)
-    outcome_a, state = measure_pauli(encoded, PauliString.from_letters("X", "I"), rng)
-    outcome_b, state = measure_pauli(state, PauliString.from_letters("I", "Xp"), rng)
+    outcome_a, state = measure_pauli(encoded, _READ_A, rng)
+    outcome_b, state = measure_pauli(state, _READ_B, rng)
     decoded = ((1 - outcome_a.eigenvalue) // 2, (1 - outcome_b.eigenvalue) // 2)
     trace = {
         "label": label,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import PAULI_LETTERS, PauliString, conjugate_by, named_gate, pauli_mul
+from .algebra import _CODES, _MUL_CODES, PAULI_LETTERS, PauliString, conjugate_by, named_gate, pauli_mul
 
 
 @dataclass(frozen=True)
@@ -132,18 +132,18 @@ def random_walk_cleanup(
     if parity not in ("any", "even"):
         raise ValueError(f"parity must be 'any' or 'even', got {parity!r}")
 
-    current = start
+    # The vertex as a letter code; the drawn label acts on the left, so the
+    # next vertex is the product table's entry label * 4 + current.
+    current, goal = _CODES[start], _CODES[target]
     trajectory = [start]
     labels: list[str] = []
     for step in range(1, max_steps + 1):
-        label = PAULI_LETTERS[rng.integers(0, 4)]
-        current = pauli_mul(
-            PauliString.from_letters(label), PauliString.from_letters(current)
-        ).letters[0]
-        trajectory.append(current)
-        labels.append(label)
-        if current == target and (parity == "any" or step % 2 == 0):
-            return WalkRecord(step, tuple(trajectory), tuple(labels), current)
+        label = int(rng.integers(0, 4))
+        current = _MUL_CODES.item(label * 4 + current)
+        trajectory.append(PAULI_LETTERS[current])
+        labels.append(PAULI_LETTERS[label])
+        if current == goal and (parity == "any" or step % 2 == 0):
+            return WalkRecord(step, tuple(trajectory), tuple(labels), trajectory[-1])
     raise WalkExhaustedError(
         f"no hit within {max_steps} steps (miss probability (3/4)^{max_steps})"
     )

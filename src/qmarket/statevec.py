@@ -8,10 +8,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
+# The LAPACK gufunc `np.linalg.svd(..., full_matrices=False)` calls for a
+# complex matrix, without the wrapper's conversions and error state.
+from numpy.linalg._umath_linalg import svd_s as _svd
 
-from .algebra import PauliString, assert_unitary
+from .algebra import PauliString, _near_identity, assert_unitary
 
 MAX_QUBITS = 16
 NORM_TOL = 1e-12
@@ -200,14 +204,17 @@ def _pauli_action(tensor: np.ndarray, placed) -> np.ndarray:
     Every letter acts along its own axis by flips and sign or phase changes,
     so rows of a batch axis never mix.
     """
-    return _act(tensor, *_pauli_slices(tensor.ndim, placed))
+    return _act(tensor, *_pauli_slices(tensor.ndim, tuple(placed)))
 
 
+# Keyed by the whole placement, so bounded: a caller measuring many distinct
+# words on wide states would otherwise grow the cache without limit.
+@lru_cache(maxsize=1024)
 def _pauli_slices(ndim: int, placed) -> tuple[tuple, tuple]:
-    """The indexing `_act` needs for the letters of `placed` on a tensor of
-    `ndim` axes: one index that reverses every X and X'' axis, and per X' or
-    X'' letter, in order, (letter, index of its |0> half, index of its |1>
-    half)."""
+    """The indexing `_act` needs for the letters of `placed`, a tuple of
+    (axis, letter) pairs, on a tensor of `ndim` axes: one index that reverses
+    every X and X'' axis, and per X' or X'' letter, in order, (letter, index
+    of its |0> half, index of its |1> half)."""
     flip = [slice(None)] * ndim
     phases = []
     for axis, letter in placed:
@@ -324,7 +331,7 @@ def _check_involution(observable: np.ndarray) -> None:
     """Raise unless the square matrix `observable` is a Hermitian involution."""
     if not np.allclose(observable, observable.conj().T, atol=1e-10):
         raise ValueError("observable is not Hermitian")
-    if not np.allclose(observable @ observable, np.eye(observable.shape[0]), atol=1e-10):
+    if not _near_identity(observable @ observable):
         raise ValueError("observable is not an involution (eigenvalues must be +/-1)")
 
 
@@ -383,10 +390,14 @@ def _factor_out(pair: np.ndarray, qubit: int) -> tuple[np.ndarray, np.ndarray]:
     through the norm rule, and the wire's 1-qubit state.
 
     Raises when the wire is entangled: its residual weight, the second
-    singular value squared, exceeds 1e-12.
+    singular value squared, exceeds 1e-12.  The comparisons are written so
+    that a NaN fails them: a non-finite singular value is LAPACK's
+    non-convergence, which `np.linalg.svd` reports as LinAlgError.
     """
-    u, s, vh = np.linalg.svd(pair, full_matrices=False)
-    if s.shape[0] > 1 and s[1] ** 2 > 1e-12:
+    u, s, vh = _svd(pair, signature="D->DdD")
+    if not s[0] < math.inf:
+        raise np.linalg.LinAlgError("SVD did not converge")
+    if s.shape[0] > 1 and not s[1] ** 2 <= 1e-12:
         raise RuntimeError(
             f"qubit {qubit} is entangled with the rest (residual weight {s[1]**2:.2e})"
         )
