@@ -486,8 +486,8 @@ def compile_to_measurements(circuit: Circuit, mode: str = "extended") -> Measure
 # One executor runs a batch of trials of a program at once.  Wire positions,
 # registers and frame pushes depend only on the program, never on outcomes,
 # so `_plan` resolves every wire to a state axis and checks the program once,
-# and `_run` applies each step to a (B, 2, ..., 2) stack of states, one row per
-# trial.  Every step treats the rows independently, with the same arithmetic
+# and `_execute` applies each step to a (B, 2, ..., 2) stack of states, one row
+# per trial.  Every step treats the rows independently, with the same arithmetic
 # whatever B is, so a trial's result does not depend on the batch it ran in.
 # `execute` is the batch of one.
 
@@ -547,8 +547,7 @@ def _apply_frames(stack: np.ndarray, letters, exponents) -> np.ndarray:
 @dataclass(frozen=True)
 class _Plan:
     steps: tuple[tuple, ...]  # (operation, operands...); state axes count from 1
-    registers: tuple[str, ...]  # register names, in the order first set
-    meters: int  # upper bound on the uniforms one trial draws
+    registers: tuple[str, ...]  # register names, in the order first set: one per meter
     peak: int  # most wires live at once
     order: tuple[int, ...]  # final position of each logical wire
 
@@ -567,31 +566,39 @@ def _plan(program: MeasurementProgram) -> _Plan:
     if n < 1:
         raise ProgramError(f"a program needs at least one logical wire, got {n}")
     strict = program.primitive_set == "strict"
-    positions: dict[Wire, int] = {i: i for i in range(n)}
+    live: list[Wire] = list(range(n))  # live[i] is the wire on state axis 1 + i
     registers: dict[str, int] = {}
     steps: list[tuple] = []
-    width = peak = n
-    meters = 0
+    peak = n
 
     def at(wire) -> int:
-        wire = _wire_key(wire)
-        if wire not in positions:
+        """The index in `live` of a meter, retire or promote wire: an ancilla
+        token, or a logical index as an int, so that True is wire 1.  Any
+        other value, such as the float 1.0, is not a wire.  The entry found
+        is rewritten in that form, so a retire pops and records that form
+        however a prepare spelled the wire."""
+        if isinstance(wire, (int, np.integer)):
+            wire = int(wire)
+        elif not isinstance(wire, str):
+            raise ProgramError(f"wire {wire!r} is neither a logical index nor an ancilla token")
+        if wire not in live:
             raise ProgramError(f"wire {wire!r} is not live")
-        return positions[wire]
+        index = live.index(wire)
+        live[index] = wire
+        return index
 
     def slots(names) -> tuple[int, ...]:
-        for name in names:
-            if name not in registers:
-                raise ProgramError(f"register {name!r} referenced before set")
-        return tuple(registers[name] for name in names)
+        try:
+            return tuple(registers[name] for name in names)
+        except KeyError as missing:
+            raise ProgramError(f"register {missing.args[0]!r} referenced before set") from None
 
     for ins in program.instructions:
         if isinstance(ins, Prepare):
-            if ins.wire in positions:
+            if ins.wire in live:
                 raise ProgramError(f"wire {ins.wire!r} is already live")
-            positions[ins.wire] = width
-            width += 1
-            peak = max(peak, width)
+            live.append(ins.wire)
+            peak = max(peak, len(live))
             steps.append(("prepare",))
         elif isinstance(ins, (MeasurePauliInstr, MeasureGInstr)):
             if isinstance(ins, MeasureGInstr):
@@ -608,11 +615,10 @@ def _plan(program: MeasurementProgram) -> _Plan:
                 if not len(set(ins.wires)) == len(ins.wires) == len(ins.letters):
                     raise ProgramError(f"bad meter {ins.letters} on {ins.wires}")
                 placed = tuple((1 + at(w), l) for l, w in zip(ins.letters, ins.wires))
-                step = ("measure", *_pauli_slices(1 + width, placed))
+                step = ("measure", *_pauli_slices(1 + len(live), placed))
             if ins.register in registers:
                 raise ProgramError(f"register {ins.register!r} set twice")
             registers[ins.register] = len(registers)
-            meters += 1
             steps.append(step + (registers[ins.register],))
         elif isinstance(ins, Correct):
             if (ins.component not in ("x", "z") or not isinstance(ins.wire, (int, np.integer))
@@ -627,23 +633,17 @@ def _plan(program: MeasurementProgram) -> _Plan:
             if ins.residue_basis not in _RESIDUE_TERMS:
                 raise ProgramError(f"unknown residue basis {ins.residue_basis!r}")
             residue = slots(ins.residue_registers)
-            if width < 2:
+            if len(live) < 2:
                 raise ProgramError("cannot remove the last qubit")
-            retired = _wire_key(ins.wire)
-            pos = at(retired)
-            del positions[retired]
+            pos = at(ins.wire)
             # The axis order that brings the retired wire next to the batch axis.
-            order = (0, 1 + pos, *(a for a in range(1, 1 + width) if a != 1 + pos))
+            order = (0, 1 + pos, *(a for a in range(1, 1 + len(live)) if a != 1 + pos))
+            retired = live.pop(pos)
             steps.append(("retire", order, str(retired), ins.residue_basis, residue))
-            width -= 1
-            for wire, p in positions.items():
-                if p > pos:
-                    positions[wire] = p - 1
             if ins.promote is not None:
                 if not isinstance(retired, int):
                     raise ProgramError("can only promote into a logical slot")
-                positions[retired] = at(ins.promote)
-                del positions[ins.promote]
+                live[at(ins.promote)] = retired
         elif isinstance(ins, Feedforward):
             if ins.push is not None:
                 gate, wires = ins.push
@@ -658,23 +658,11 @@ def _plan(program: MeasurementProgram) -> _Plan:
         raise CompileError(
             f"program needs {peak} live wires, above the simulator ceiling of {MAX_QUBITS}"
         )
-    if width > n:
+    if len(live) > n:
         raise ProgramError("program finished with ancillas still attached")
-    if set(positions) != set(range(n)):
+    if set(live) != set(range(n)):
         raise ProgramError("program finished without all of its logical wires")
-    order = tuple(positions[i] for i in range(n))
-    return _Plan(tuple(steps), tuple(registers), meters, peak, order)
-
-
-def _wire_key(wire) -> Wire:
-    """A meter, retire or promote wire as the plan keys it: an ancilla token,
-    or a logical index as an int, so that True is wire 1 and records "1".
-    Any other value, such as the float 1.0, is not a wire."""
-    if isinstance(wire, str):
-        return wire
-    if isinstance(wire, (int, np.integer)):
-        return int(wire)
-    raise ProgramError(f"wire {wire!r} is neither a logical index nor an ancilla token")
+    return _Plan(tuple(steps), tuple(registers), peak, tuple(live.index(i) for i in range(n)))
 
 
 def _check_term(wire, letter: str, n: int) -> None:
@@ -711,7 +699,7 @@ def _execute(plan: _Plan, stack: np.ndarray, rngs: Sequence[np.random.Generator]
     psi = stack.reshape((batch,) + (2,) * n)
     # One uniform per meter and trial, the values `random()` would return one
     # at a time; a row's cursor moves only when its branch is stochastic.
-    uniforms = np.array([rng.random(plan.meters) for rng in rngs])
+    uniforms = np.array([rng.random(len(plan.registers)) for rng in rngs])
     cursor = np.zeros(batch, dtype=np.intp)
     rows = np.arange(batch)
     bits: list = [None] * len(plan.registers)

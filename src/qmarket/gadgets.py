@@ -201,7 +201,7 @@ def _pauli_meter(width: int, placed) -> tuple[PauliString, tuple]:
     for wire, letter in placed:
         word[wire] = letter
     observable = PauliString.from_letters(*word)
-    slices = _pauli_slices(width, enumerate(observable.letters))
+    slices = _pauli_slices(width, tuple(enumerate(observable.letters)))
     return observable, ("pauli", observable.phase, slices)
 
 

@@ -403,8 +403,6 @@ def _factor_out(pair: np.ndarray, qubit: int) -> tuple[np.ndarray, np.ndarray]:
         )
     removed = u[:, 0]
     rest = s[0] * vh[0, :]
-    # Fold the arbitrary SVD phase into the removed wire so `rest` keeps the
-    # original global phase as closely as possible; phases are conventional.
     return rest, removed
 
 

@@ -173,7 +173,11 @@ def test_trials_and_tol_validation(bell_file, capsys):
     assert code == EXIT_USAGE
 
 
-def test_out_path_io_error(bell_file, capsys):
-    code, _, err = run_cli(["run", bell_file, "--out", "/nonexistent/dir/x.jsonl"], capsys)
+@pytest.mark.parametrize("command", [["run"], ["verify"], ["verify", "--corrupt"]], ids=" ".join)
+def test_out_path_io_error(command, bell_file, tmp_path, capsys):
+    """An unwritable --out is exit 3, for a failed verification too: the I/O
+    error outranks the result."""
+    out = str(tmp_path / "missing" / "r.jsonl")
+    code, _, err = run_cli([command[0], bell_file, *command[1:], "--out", out], capsys)
     assert code == EXIT_IO
-    assert "cannot write" in err
+    assert "error: cannot write" in err

@@ -43,7 +43,7 @@ def test_fifteen_qubit_extended_peaks_at_sixteen_and_verifies():
     assert report.passed
 
 
-@pytest.mark.parametrize("tol", ["nan", "inf", "1", "5"])
+@pytest.mark.parametrize("tol", ["nan", "inf", "1", "5", "abc"])
 def test_cli_rejects_tol_outside_open_unit_interval(tol, tmp_path, capsys):
     path = tmp_path / "bell.qc"
     path.write_text(BELL)

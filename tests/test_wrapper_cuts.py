@@ -2,7 +2,7 @@
 code it replaced: the retire's bare LAPACK SVD against `np.linalg.svd`, the
 written-out unitary predicate against `np.allclose`, the correction walk on
 letter codes against the walk on `PauliString`s, and the cached Pauli
-slicings against uncached ones.  Also the API-boundary checks on gate ops
+slicings against uncached ones, with a gadget plan's rebuild hitting them.  Also the API-boundary checks on gate ops
 of circuits built without the parser.
 """
 import itertools
@@ -11,6 +11,7 @@ import re
 import numpy as np
 import pytest
 
+from qmarket import gadgets
 from qmarket.algebra import (
     PAULI_LETTERS,
     PauliString,
@@ -219,6 +220,23 @@ def test_cached_slicings_equal_uncached_ones(ndim):
                 expected = uncached(ndim, placed)
                 assert _pauli_slices(ndim, placed) == expected
                 assert _pauli_slices(ndim, placed) == expected  # from the cache
+
+
+def test_a_rebuilt_gadget_plan_hits_the_slicing_cache():
+    """A gadget plan keys the slicing cache by its placement's contents, so
+    rebuilding the plan hits once per Pauli meter and adds no entry."""
+    def build() -> int:
+        gadgets._plan.cache_clear()
+        plans = [gadgets._plan("sigma_h", 3, (target,)) for target in range(3)]
+        return sum(step[0] == "pauli" for plan in plans for step in plan.steps)
+
+    build()
+    before = _pauli_slices.cache_info()
+    meters = build()
+    after = _pauli_slices.cache_info()
+    assert meters > 0
+    assert after.hits - before.hits == meters
+    assert (after.misses, after.currsize) == (before.misses, before.currsize)
 
 
 _BAD_OPS = [
