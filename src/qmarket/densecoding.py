@@ -16,8 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import CANONICAL_TACTICS, SQRT2_INV, PauliString, Strategy, bloch_vector, named_gate, u_z_alpha
-from .statevec import StateVector, _apply_matrix, apply_gate, measure_pauli, new_basis_state
+from .algebra import CANONICAL_TACTICS, SQRT2_INV, Strategy, bloch_vector, named_gate, u_z_alpha
+from .gadgets import _pauli_meter, _Plan, _run
+from .statevec import StateVector, _apply_matrix, apply_gate, new_basis_state
 
 # Which two classical bits each tactics label carries.  Any bijection works
 # (the four encoded states are orthogonal); this one reads bit 0 off wire A
@@ -47,10 +48,9 @@ _CNOT = named_gate("CNOT")
 # checks H and _CNOT here, at import.
 _PAIR = apply_gate(apply_gate(new_basis_state(2, "00"), named_gate("H"), [1]), _CNOT, [1, 0])
 
-
-# The read-out meters: X on wire A, X' on wire B.
-_READ_A = PauliString.from_letters("X", "I")
-_READ_B = PauliString.from_letters("I", "Xp")
+# The read-out, one plan for the gadget runner: X on wire A, then X' on wire B.
+_READ_OBSERVABLES, _READ_STEPS = zip(_pauli_meter(2, ((0, "X"),)), _pauli_meter(2, ((1, "Xp"),)))
+_READ_OUT = _Plan(_READ_STEPS, _READ_OBSERVABLES)
 
 
 def dealer_state(s: Strategy, alpha: float) -> StateVector:
@@ -88,23 +88,28 @@ def encoded_states() -> dict[str, StateVector]:
     }
 
 
+# The codewords: each canonical tactic's dealer state, built once; the
+# public apply_gate checks each tactic matrix here, at import.
+_CODEWORDS = encoded_states()
+
+
 def encode_decode(bits: tuple[int, int], rng: np.random.Generator):
     """Run one dense-coding roundtrip; decoding is exact.
 
     Returns (decoded bits, trace) where the trace records the tactics label,
-    the encoded state, and both meter outcomes.
+    the encoded state, and both meter outcomes.  Decoding is deterministic,
+    so `rng` draws nothing.
     """
-    if bits not in BITS_TO_TACTICS:
-        raise ValueError(f"bits must be a pair of 0/1, got {bits}")
-    label = BITS_TO_TACTICS[bits]
-    s, alpha = CANONICAL_TACTICS[label]
-    encoded = dealer_state(s, alpha)
-    outcome_a, state = measure_pauli(encoded, _READ_A, rng)
-    outcome_b, state = measure_pauli(state, _READ_B, rng)
+    try:
+        label = BITS_TO_TACTICS[bits]
+    except (KeyError, TypeError):  # TypeError: an unhashable argument
+        raise ValueError(f"bits must be a pair of 0/1, got {bits}") from None
+    encoded = _CODEWORDS[label]
+    (outcome_a, outcome_b), _post, _pattern = _run(_READ_OUT, encoded, rng, (None, None))
     decoded = ((1 - outcome_a.eigenvalue) // 2, (1 - outcome_b.eigenvalue) // 2)
     trace = {
         "label": label,
-        "encoded": encoded,
+        "encoded": encoded.copy(),
         "outcome_a": outcome_a.eigenvalue,
         "outcome_b": outcome_b.eigenvalue,
     }

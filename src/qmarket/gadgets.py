@@ -19,11 +19,12 @@ slot, so callers always see a stable logical index.
 A call depends on its input only through the amplitudes: everything else is
 fixed by its key, (kind, input width, targets) for a gadget.  The first call
 with a given key builds a plan and caches it: a list of steps (gate, ancilla
-join, meter, retire, rotation into the data slot), the observable each meter
-reports and the byproduct word of every outcome pattern.  One runner, _run,
-interprets every plan on raw amplitudes: the gadgets', read from the table,
-and those of the derived X' meter, the conjugated parity meter and the
-interferometric G meter.
+join, meter, retire, and a rotation into the data slot when that moves a
+wire), the observable each meter reports and the byproduct word of every
+outcome pattern.  One runner, _run, interprets every plan on raw amplitudes:
+the gadgets', read from the table, and those of the derived X' meter, the
+conjugated parity meter, the interferometric G meter and the dense-coding
+read-out.
 """
 from __future__ import annotations
 
@@ -243,9 +244,10 @@ def _plan(kind: str, n_qubits: int, targets: tuple[int, ...]) -> _Plan:
         steps.append(meter)
     retired = wires[spec.retired]
     steps.append(("retire", (retired, *(w for w in range(width) if w != retired))))
-    if spec.retired != "a":
-        # After removal the ancilla sits at the end; rotate it into the slot.
-        last = n_qubits - 1
+    last = n_qubits - 1
+    if retired < last:
+        # After removal the ancilla sits at the end; rotate it into the slot
+        # (a retired last data wire, or the ancilla, leaves nothing to move).
         steps.append(("rotate", (*range(retired), last, *range(retired, last))))
     byproducts = []
     for pattern in range(2 ** len(spec.meters)):

@@ -159,15 +159,20 @@ def apply_gate(state: StateVector, gate: np.ndarray, targets: list[int]) -> Stat
     """Apply `gate` (dimension 2^len(targets)) to the listed qubits."""
     n = state.n_qubits
     k = len(targets)
-    if len(set(targets)) != k:
-        raise ValueError(f"duplicate targets in {targets}")
-    if any(t < 0 or t >= n for t in targets):
-        raise ValueError(f"target out of range in {targets} for {n} qubits")
+    _check_targets(targets, n)
     gate = np.asarray(gate, dtype=complex)
     if gate.shape != (2**k, 2**k):
         raise ValueError(f"gate shape {gate.shape} does not act on {k} qubit(s)")
     assert_unitary(gate)
     return StateVector(n, _apply_matrix(state.tensor()[None], gate, targets).reshape(-1))
+
+
+def _check_targets(targets: list[int], n_qubits: int) -> None:
+    """Raise unless `targets` are distinct wires of an `n_qubits` register."""
+    if len(set(targets)) != len(targets):
+        raise ValueError(f"duplicate targets in {targets}")
+    if any(t < 0 or t >= n_qubits for t in targets):
+        raise ValueError(f"target out of range in {targets} for {n_qubits} qubits")
 
 
 def _apply_matrix(stack: np.ndarray, matrix: np.ndarray, targets: list[int]) -> np.ndarray:
@@ -318,6 +323,7 @@ def measure_hermitian(
     Covers the non-Pauli meters the gadgets need (G and the T-conjugated X).
     The returned outcome carries the identity word as its observable.
     """
+    _check_targets(targets, state.n_qubits)
     observable = np.asarray(observable, dtype=complex)
     dim = 2 ** len(targets)
     if observable.shape != (dim, dim):
@@ -356,6 +362,8 @@ def fidelity(a: StateVector, b: StateVector) -> float:
 
 def append_qubit(state: StateVector, bits: str = "0") -> StateVector:
     """Tensor a fresh qubit in a computational basis state onto the end."""
+    if bits not in ("0", "1"):
+        raise ValueError(f"appended bit {bits!r} must be '0' or '1'")
     fresh = np.zeros(2, dtype=complex)
     fresh[int(bits, 2)] = 1.0
     return StateVector(state.n_qubits + 1, np.kron(state.amplitudes, fresh))

@@ -17,8 +17,7 @@ import qmarket.gadgets as gadgets
 import qmarket.statevec as statevec
 from conftest import haar_state
 from qmarket import algebra
-from qmarket.algebra import CANONICAL_TACTICS, u_z_alpha
-from qmarket.densecoding import BITS_TO_TACTICS, encode_decode
+from qmarket.densecoding import encode_decode
 from qmarket.statevec import MAX_QUBITS, StateVector, apply_gate, measure_hermitian, new_basis_state
 
 from test_gadget_pins import CALLS
@@ -85,23 +84,30 @@ def test_gadgets_run_no_matrix_checks(check_calls):
     assert check_calls == {"allclose": 0, "unitary": []}
 
 
-def test_encode_decode_checks_only_its_computed_tactics(check_calls):
+def test_encode_decode_runs_no_matrix_checks(check_calls):
+    """The four codewords, and so their tactic matrices' checks, are built
+    at import; a roundtrip only reads one out."""
     rng = np.random.default_rng(7)
-    bit_pairs = list(itertools.product((0, 1), repeat=2))
-    for bits in bit_pairs:
+    for bits in itertools.product((0, 1), repeat=2):
         encode_decode(bits, rng)
-    assert check_calls["allclose"] == 0
-    assert len(check_calls["unitary"]) == len(bit_pairs)
-    for bits, checked in zip(bit_pairs, check_calls["unitary"]):
-        assert np.array_equal(checked, u_z_alpha(*CANONICAL_TACTICS[BITS_TO_TACTICS[bits]]))
+    assert check_calls == {"allclose": 0, "unitary": []}
 
 
-@pytest.mark.parametrize("kind", sorted(gadgets.GADGETS))
-def test_runner_applies_the_norm_rule_to_every_intermediate_state(kind, monkeypatch):
+# Every CALLS row, plus a width-2 sigma_h on wire 0, whose retired data wire
+# is not the last input wire.
+_NORM_RULE_CALLS = {
+    **{kind: (kind, CALLS[kind][0], CALLS[kind][2]) for kind in gadgets.GADGETS},
+    "sigma_h-width-2": ("sigma_h", 2, lambda st, rng, forced: gadgets.gadget_sigma_h(st, 0, rng, forced)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NORM_RULE_CALLS))
+def test_runner_applies_the_norm_rule_to_every_intermediate_state(case, monkeypatch):
     """As many norm-rule applications as states the step-by-step run built:
-    after the pre-gate, the ancilla join, each meter, the retire and the
-    rotation into the data slot."""
-    n_qubits, _n_meters, call = CALLS[kind]
+    after the pre-gate, the ancilla join, each meter, the retire and, when
+    it moves a wire, the rotation into the data slot.  Every call acts on
+    wire 0, so a retired data wire rotates only on a wider input."""
+    kind, n_qubits, call = _NORM_RULE_CALLS[case]
     state = haar_state(n_qubits, np.random.default_rng(8))
     applied = []
     real = statevec._normalized
@@ -114,7 +120,8 @@ def test_runner_applies_the_norm_rule_to_every_intermediate_state(kind, monkeypa
     monkeypatch.setattr(gadgets, "_normalized", counted)
     spec = gadgets.GADGETS[kind]
     call(state, np.random.default_rng(9), None)
-    expected = (spec.pre is not None) + 1 + len(spec.meters) + 1 + (spec.retired != "a")
+    rotates = spec.retired == "d" and n_qubits > 1
+    expected = (spec.pre is not None) + 1 + len(spec.meters) + 1 + rotates
     assert len(applied) == expected
 
 
@@ -161,3 +168,11 @@ def test_import_time_check_rejects_a_bad_builtin(module, gate, matrix, message, 
     with pytest.raises(ValueError, match=message):
         _import_copy(module, monkeypatch)
 
+
+def test_import_time_check_rejects_a_bad_tactic(monkeypatch):
+    """The codewords are built at import, so a tactic matrix that is not
+    unitary fails there, not in a roundtrip."""
+    _import_copy(densecoding, monkeypatch)
+    monkeypatch.setattr(algebra, "u_z_alpha", lambda s, alpha: np.diag([1.0, 2.0]).astype(complex))
+    with pytest.raises(ValueError, match="not unitary"):
+        _import_copy(densecoding, monkeypatch)

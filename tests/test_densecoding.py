@@ -71,9 +71,10 @@ def test_encode_decode_deterministic(bits, rng):
         assert trace["label"] == BITS_TO_TACTICS[bits]
 
 
-def test_encode_decode_rejects_bad_bits(rng):
-    with pytest.raises(ValueError):
-        encode_decode((0, 2), rng)
+@pytest.mark.parametrize("bits", [(0, 2), [0, 1]], ids=["tuple-0-2", "list-0-1"])
+def test_encode_decode_rejects_bad_bits(bits, rng):
+    with pytest.raises(ValueError, match="bits must be a pair of 0/1"):
+        encode_decode(bits, rng)
 
 
 def test_tactics_choice_validation():

@@ -18,7 +18,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from qmarket.algebra import PauliString, assert_unitary
+from qmarket.algebra import PauliString, assert_unitary, named_gate
 from qmarket.cli import EXIT_USAGE, SEED_ENV_VAR, main
 from qmarket.compiler import (
     Circuit,
@@ -40,6 +40,7 @@ from qmarket.seeding import _HashedState
 from qmarket.statevec import (
     MeasurementOutcome,
     StateVector,
+    append_qubit,
     append_state,
     apply_pauli,
     fidelity,
@@ -147,6 +148,31 @@ def test_apply_pauli_rejects_a_word_of_another_width():
 def test_measure_hermitian_rejects_an_observable_that_does_not_fit_its_targets():
     assert raised(lambda: measure_hermitian(KET0, np.eye(4), [0], None)) == (
         ValueError, "observable shape (4, 4) does not fit targets [0]"
+    )
+
+
+@pytest.mark.parametrize(
+    "targets, message",
+    [
+        ([0, 0], "duplicate targets in [0, 0]"),
+        ([5], "target out of range in [5] for 2 qubits"),
+        ([-1], "target out of range in [-1] for 2 qubits"),
+    ],
+    ids=["duplicate", "too-high", "negative"],
+)
+def test_measure_hermitian_rejects_a_bad_target(targets, message):
+    g = named_gate("G")
+    observable = np.kron(g, g) if len(targets) == 2 else g
+    state = StateVector(2, [1, 0, 0, 0])
+    assert raised(lambda: measure_hermitian(state, observable, targets, None, force=1)) == (
+        ValueError, message
+    )
+
+
+@pytest.mark.parametrize("bits", ["01", "11", ""])
+def test_append_qubit_rejects_anything_but_one_bit(bits):
+    assert raised(lambda: append_qubit(KET0, bits)) == (
+        ValueError, f"appended bit {bits!r} must be '0' or '1'"
     )
 
 
