@@ -4,6 +4,9 @@ Output is JSON-lines (one record per line) with floats rounded to 12
 significant digits, so identical seeds and flags yield byte-identical
 output.  Exit codes: 0 success, 1 verification failure, 2 usage/parse
 error, 3 I/O error.
+
+A command returns its output lines and exit code, or raises `_Failure`;
+`main` alone writes output and `error:` lines and returns the exit code.
 """
 from __future__ import annotations
 
@@ -41,8 +44,6 @@ EXIT_IO = 3
 
 SEED_ENV_VAR = "QMARKET_SEED"
 
-DEMO_NAMES = ("densecoding", "walk", "gadgets")
-
 # GADGETS kind -> demo record name, where they differ; the table's order is
 # the demo order, and target, width and arity come from its rows.
 _GADGET_RECORD_NAMES = {"sigma_t": "sigma_t_xprime"}
@@ -55,18 +56,24 @@ def _sig(x: float) -> float:
     return float(f"{x:.12g}")
 
 
-def _emit(lines: list[str], out_path: str | None) -> int:
+class _Failure(Exception):
+    """A CLI failure: `main` prints `error: {message}` and exits with `code`."""
+
+    def __init__(self, message: str, code: int = EXIT_USAGE):
+        super().__init__(message)
+        self.code = code
+
+
+def _emit(lines: list[str], out_path: str | None) -> None:
     text = "\n".join(lines) + "\n" if lines else ""
     if out_path is None:
         sys.stdout.write(text)
-        return EXIT_OK
+        return
     try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
-        print(f"error: cannot write {out_path}: {exc}", file=sys.stderr)
-        return EXIT_IO
-    return EXIT_OK
+        raise _Failure(f"cannot write {out_path}: {exc}", EXIT_IO)
 
 
 def _record(**fields) -> str:
@@ -76,28 +83,19 @@ def _record(**fields) -> str:
 def _read_circuit(path: str):
     try:
         with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+            return parse_circuit(fh.read())
     except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        return None, EXIT_IO
-    except UnicodeDecodeError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        return None, EXIT_USAGE
-    try:
-        return parse_circuit(text), EXIT_OK
-    except ParseError as exc:
-        print(f"error: {path}: {exc}", file=sys.stderr)
-        return None, EXIT_USAGE
+        raise _Failure(f"cannot read {path}: {exc}", EXIT_IO)
+    except (UnicodeDecodeError, ParseError) as exc:
+        raise _Failure(f"{path}: {exc}")
 
 
 def _amplitude_pairs(state) -> list[list[float]]:
     return [[_sig(a.real), _sig(a.imag)] for a in state.amplitudes]
 
 
-def cmd_run(args) -> int:
-    circuit, code = _read_circuit(args.circuit)
-    if circuit is None:
-        return code
+def cmd_run(args) -> tuple[list[str], int]:
+    circuit = _read_circuit(args.circuit)
     # A parsed circuit holds only gates, so the simulation draws nothing: it
     # runs once, and every trial record carries its result.
     state, outcomes = simulate_circuit(circuit)
@@ -107,27 +105,21 @@ def cmd_run(args) -> int:
         _record(record="run", trial=t, amplitudes=amplitudes, outcomes=eigenvalues)
         for t in range(args.trials)
     ]
-    return _emit(lines, args.out)
+    return lines, EXIT_OK
 
 
 def _compile(args):
-    """Read and compile `args.circuit` in `args.mode`: (circuit, program,
-    EXIT_OK), or (None, None, exit code) after reporting the error."""
-    circuit, code = _read_circuit(args.circuit)
-    if circuit is None:
-        return None, None, code
+    """Read and compile `args.circuit` in `args.mode`: (circuit, program)."""
+    circuit = _read_circuit(args.circuit)
     try:
-        return circuit, compile_to_measurements(circuit, args.mode), EXIT_OK
+        return circuit, compile_to_measurements(circuit, args.mode)
     except CompileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return None, None, EXIT_USAGE
+        raise _Failure(str(exc))
 
 
-def cmd_compile(args) -> int:
-    _, program, code = _compile(args)
-    if program is None:
-        return code
-    return _emit(program.to_json_lines().rstrip("\n").split("\n"), args.out)
+def cmd_compile(args) -> tuple[list[str], int]:
+    _, program = _compile(args)
+    return program.to_json_lines().rstrip("\n").split("\n"), EXIT_OK
 
 
 def _corrupt(program: MeasurementProgram) -> MeasurementProgram:
@@ -152,10 +144,8 @@ def _trial_lines(fidelities) -> list[str]:
     ]
 
 
-def cmd_verify(args) -> int:
-    circuit, program, code = _compile(args)
-    if program is None:
-        return code
+def cmd_verify(args) -> tuple[list[str], int]:
+    circuit, program = _compile(args)
     if args.corrupt:
         program = _corrupt(program)
     report = check_equivalence(circuit, program, args.trials, args.tol, base_seed=args.seed)
@@ -171,10 +161,7 @@ def cmd_verify(args) -> int:
             outcome_counts=report.outcome_counts,
         )
     )
-    code = _emit(lines, args.out)
-    if code != EXIT_OK:
-        return code
-    return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
+    return lines, EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 
 
 def _demo_densecoding(args) -> list[str]:
@@ -250,25 +237,19 @@ def _demo_gadgets(args) -> list[str]:
     return lines
 
 
-def cmd_demo(args) -> int:
-    if args.name not in DEMO_NAMES:
-        print(f"error: unknown demo {args.name!r} (choose from {', '.join(DEMO_NAMES)})",
-              file=sys.stderr)
-        return EXIT_USAGE
+_DEMOS = {"densecoding": _demo_densecoding, "walk": _demo_walk, "gadgets": _demo_gadgets}
+DEMO_NAMES = tuple(_DEMOS)
+
+
+def cmd_demo(args) -> tuple[list[str], int]:
+    if args.name not in _DEMOS:
+        raise _Failure(f"unknown demo {args.name!r} (choose from {', '.join(DEMO_NAMES)})")
     if args.force_outcomes is not None and args.name != "gadgets":
-        print("error: --force-outcomes applies only to demo gadgets", file=sys.stderr)
-        return EXIT_USAGE
+        raise _Failure("--force-outcomes applies only to demo gadgets")
     try:
-        if args.name == "densecoding":
-            lines = _demo_densecoding(args)
-        elif args.name == "walk":
-            lines = _demo_walk(args)
-        else:
-            lines = _demo_gadgets(args)
+        return _DEMOS[args.name](args), EXIT_OK
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    return _emit(lines, args.out)
+        raise _Failure(str(exc))
 
 
 def _parse_forced(text: str) -> list[int]:
@@ -366,10 +347,15 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; normalize other codes
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    if args.trials < 1:
-        print("error: --trials must be >= 1", file=sys.stderr)
-        return EXIT_USAGE
-    return args.func(args)
+    try:
+        if args.trials < 1:
+            raise _Failure("--trials must be >= 1")
+        lines, code = args.func(args)
+        _emit(lines, args.out)
+    except _Failure as failure:
+        print(f"error: {failure}", file=sys.stderr)
+        return failure.code
+    return code
 
 
 if __name__ == "__main__":

@@ -574,18 +574,14 @@ def _plan(program: MeasurementProgram) -> _Plan:
     def at(wire) -> int:
         """The index in `live` of a meter, retire or promote wire: an ancilla
         token, or a logical index as an int, so that True is wire 1.  Any
-        other value, such as the float 1.0, is not a wire.  The entry found
-        is rewritten in that form, so a retire pops and records that form
-        however a prepare spelled the wire."""
+        other value, such as the float 1.0, is not a wire."""
         if isinstance(wire, (int, np.integer)):
             wire = int(wire)
         elif not isinstance(wire, str):
             raise ProgramError(f"wire {wire!r} is neither a logical index nor an ancilla token")
         if wire not in live:
             raise ProgramError(f"wire {wire!r} is not live")
-        index = live.index(wire)
-        live[index] = wire
-        return index
+        return live.index(wire)
 
     def slots(names) -> tuple[int, ...]:
         try:
@@ -597,6 +593,8 @@ def _plan(program: MeasurementProgram) -> _Plan:
         if isinstance(ins, Prepare):
             if ins.wire in live:
                 raise ProgramError(f"wire {ins.wire!r} is already live")
+            if not isinstance(ins.wire, str):
+                raise ProgramError(f"prepare wire {ins.wire!r} is not an ancilla token")
             live.append(ins.wire)
             peak = max(peak, len(live))
             steps.append(("prepare",))

@@ -20,6 +20,12 @@ def run_cli(args, capsys):
     return code, captured.out, captured.err
 
 
+def assert_one_error_line(out, err):
+    """A failure writes nothing to stdout and one `error: ` line to stderr."""
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n")
+
+
 def test_run_bell(bell_file, capsys):
     code, out, _ = run_cli(["run", bell_file], capsys)
     assert code == EXIT_OK
@@ -31,17 +37,19 @@ def test_run_bell(bell_file, capsys):
 
 
 def test_run_missing_file(capsys):
-    code, _, err = run_cli(["run", "/nonexistent/x.qc"], capsys)
+    code, out, err = run_cli(["run", "/nonexistent/x.qc"], capsys)
     assert code == EXIT_IO
     assert "cannot read" in err
+    assert_one_error_line(out, err)
 
 
 def test_run_unknown_gate(tmp_path, capsys):
     path = tmp_path / "bad.qc"
     path.write_text("qubits 1\nbogus 0\n")
-    code, _, err = run_cli(["run", str(path)], capsys)
+    code, out, err = run_cli(["run", str(path)], capsys)
     assert code == EXIT_USAGE
     assert "line 2" in err
+    assert_one_error_line(out, err)
 
 
 def test_verify_h_strict(tmp_path, capsys):
@@ -59,10 +67,11 @@ def test_verify_h_strict(tmp_path, capsys):
 def test_verify_corrupt_hook_fails(tmp_path, capsys):
     path = tmp_path / "h.qc"
     path.write_text("qubits 1\nh 0\n")
-    code, out, _ = run_cli(
+    code, out, err = run_cli(
         ["verify", str(path), "--trials", "15", "--seed", "7", "--corrupt"], capsys
     )
     assert code == EXIT_VERIFY_FAILED
+    assert err == ""
     summary = json.loads(out.strip().split("\n")[-1])
     assert summary["passed"] is False
     assert summary["failing_trials"]
@@ -93,15 +102,17 @@ def test_compile_writes_out_file(bell_file, tmp_path, capsys):
 def test_compile_rejects_g(tmp_path, capsys):
     path = tmp_path / "g.qc"
     path.write_text("qubits 1\ng 0\n")
-    code, _, err = run_cli(["compile", str(path)], capsys)
+    code, out, err = run_cli(["compile", str(path)], capsys)
     assert code == EXIT_USAGE
     assert "not in the compilable set" in err
+    assert_one_error_line(out, err)
 
 
 def test_demo_unknown_name(capsys):
-    code, _, err = run_cli(["demo", "nope"], capsys)
+    code, out, err = run_cli(["demo", "nope"], capsys)
     assert code == EXIT_USAGE
     assert "unknown demo" in err
+    assert_one_error_line(out, err)
 
 
 def test_demo_densecoding(capsys):
@@ -167,17 +178,24 @@ def test_seed_env_var(bell_file, capsys, monkeypatch):
 
 
 def test_trials_and_tol_validation(bell_file, capsys):
-    code, _, _ = run_cli(["run", bell_file, "--trials", "0"], capsys)
+    code, out, err = run_cli(["run", bell_file, "--trials", "0"], capsys)
     assert code == EXIT_USAGE
+    assert_one_error_line(out, err)
     code, _, _ = run_cli(["run", bell_file, "--tol", "0"], capsys)
     assert code == EXIT_USAGE
 
 
-@pytest.mark.parametrize("command", [["run"], ["verify"], ["verify", "--corrupt"]], ids=" ".join)
+@pytest.mark.parametrize(
+    "command",
+    [["run"], ["verify"], ["verify", "--corrupt"], ["compile"], ["demo", "densecoding"]],
+    ids=" ".join,
+)
 def test_out_path_io_error(command, bell_file, tmp_path, capsys):
-    """An unwritable --out is exit 3, for a failed verification too: the I/O
-    error outranks the result."""
-    out = str(tmp_path / "missing" / "r.jsonl")
-    code, _, err = run_cli([command[0], bell_file, *command[1:], "--out", out], capsys)
+    """An unwritable --out is exit 3 for every command, for a failed
+    verification too: the I/O error outranks the result."""
+    out_path = str(tmp_path / "missing" / "r.jsonl")
+    argv = [*command, "--trials", "5"] if command[0] == "demo" else [command[0], bell_file, *command[1:]]
+    code, out, err = run_cli([*argv, "--out", out_path], capsys)
     assert code == EXIT_IO
-    assert "error: cannot write" in err
+    assert err.startswith("error: cannot write")
+    assert_one_error_line(out, err)

@@ -2,7 +2,8 @@
 
 Every input ends in a documented exit code (0 success, 1 verification
 failure, 2 usage/parse error, 3 I/O error), never an exception, and 1 only
-comes from `verify` with failing trials.
+comes from `verify` with failing trials.  A failure writes nothing to
+stdout; apart from argparse's usage message, it writes one `error:` line.
 """
 import contextlib
 import io
@@ -152,3 +153,10 @@ def test_exit_code_contract(call_args, circuit):
     if code == EXIT_VERIFY_FAILED:
         assert argv[0] == "verify"
         assert json.loads(out.strip().split("\n")[-1])["failing_trials"]
+    if code in (EXIT_OK, EXIT_VERIFY_FAILED):
+        assert err == ""
+    else:
+        # A failure prints nothing on stdout, and one `error:` line unless
+        # argparse wrote its own usage message.
+        assert out == ""
+        assert err.startswith("usage: ") or (err.startswith("error: ") and err.count("\n") == 1)
